@@ -19,9 +19,10 @@
 //!   where the root node dominates the whole budget.
 //! * **joint m=32** — the paper's Eq. 27 model at the acceptance width,
 //!   sequential versus parallel job counts.
-//! * **CT m=32** — the compressor-tree ILP, which is the model the
-//!   degradation ladder actually solves at this width (the `truncated-ilp`
-//!   rung). On a multi-core host `jobs=N` explores ~N× nodes per second;
+//! * **CT m=32** — the compressor-tree ILP alone (the prefix coupling
+//!   dropped), a smaller, numerically tamer reference model than the
+//!   joint one; no serving path solves it. On a multi-core host `jobs=N`
+//!   explores ~N× nodes per second;
 //!   on a single-core host (see `host_cpus`) the parallel engine matches
 //!   sequential within scheduling overhead.
 //! * **equality roster** — randomized MILPs sized m ∈ {8, 16, 32, 64}:
@@ -462,8 +463,7 @@ fn quick_hypersparse_gate(cfg: &GomilConfig) -> Result<(), String> {
     );
     if run.ftran_hyper == 0 && run.btran_hyper == 0 {
         return Err(
-            "hypersparse regression: no FTRAN/BTRAN took the sparse kernel path on CT m=32"
-                .into(),
+            "hypersparse regression: no FTRAN/BTRAN took the sparse kernel path on CT m=32".into(),
         );
     }
     if run.root.root_lp_iters > BASELINE_ROOT_ITERS * ITER_RATIO {

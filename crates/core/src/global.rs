@@ -12,15 +12,12 @@
 //!   (exactly how the paper runs Gurobi, with its `3600 + L³` second cap),
 //!   followed by the paper's post-pass: re-optimize the *full-width*
 //!   prefix structure for the resulting `V_s`.
-//! * a *truncated* ILP — the CT ILP alone (the prefix coupling truncated
-//!   away) plus the exact full-width prefix DP as a post-pass; much
-//!   smaller and numerically tamer than the joint model.
 //! * [`target_search`] — a scalable joint optimizer for large word lengths
 //!   where a from-scratch MILP solver cannot close the gap: hill-climbing
 //!   over final-height target profiles, with each candidate evaluated
 //!   *exactly* (a targeted-Dadda schedule generator for the CT side and
-//!   the full interval DP for the prefix side). Unlike the truncated ILP
-//!   it scores the complete prefix cost, not just `c_{L−1:0}`.
+//!   the full interval DP for the prefix side). It scores the complete
+//!   prefix cost, not just the truncated `c_{L−1:0}`.
 //! * plain Dadda + optimal prefix — the unconditional last resort; never
 //!   budget-checked, cannot fail.
 //!
@@ -46,15 +43,38 @@ use gomil_netlist::EquivVerdict;
 use gomil_prefix::{dp_tables_budgeted, leaf_types, optimize_prefix_tree, PrefixTree};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The widest matrix, in columns, on which the default ladder runs the
+/// joint ILP. Wider matrices go straight to target search.
+///
+/// Measured over the square lattice m = 2..8 × {AND, MBE, MBE8, BW} with
+/// `build_gomil`, the default config (10 s `solver_budget`) and a 2-vCPU
+/// host. Objectives are joint ILP / target search; "budget" means the ILP
+/// spent the whole 10 s without proving optimality:
+///
+/// | cols | cells | joint ILP | target search | ILP time |
+/// |---|---|---|---|---|
+/// | 3 | m=2 AND | 22, proved | 29 | 1 ms |
+/// | 4 | m=2 MBE, BW | 41, 42, proved | 41, 42 | ≤ 4 ms |
+/// | 5 | m=3 AND | 60, proved | 61 | 51 ms |
+/// | 6 | m=3 MBE8, BW | 33, 70, proved | 33, 72 | 0.3 s, 5.4–6.4 s |
+/// | 7–16 | m=4..8 AND, MBE, BW | 97–262 | 1–9 below the ILP, or tied (m=4 MBE, 97) | budget |
+///
+/// MBE8 at m ≥ 4 has no leftmost-free reduction (Eq. 4), so the ILP never
+/// ran there. Every strict ILP win proved optimality and sits at or below
+/// this width; above it the ILP cost 10 s per cold build and never served
+/// a better design. Rectangular and truncated shapes follow the same
+/// split, except that a truncated matrix of ≤ 6 columns can still win
+/// unproved (m=4 with 1 truncated column: 84 against 97, after the full
+/// 10 s). The `narrow_lattice` bench re-checks the lattice.
+pub const JOINT_ILP_MAX_COLUMNS: usize = 6;
 
 /// One rung of the graceful-degradation ladder, ordered best-first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Rung {
     /// The paper's joint ILP (Eq. 27).
     JointIlp,
-    /// CT-only ILP with the exact prefix DP post-pass.
-    TruncatedIlp,
     /// Hill-climb over final-height target profiles.
     TargetSearch,
     /// Plain Dadda schedule + optimal full-width prefix tree.
@@ -67,7 +87,6 @@ impl Rung {
     pub fn label(self) -> &'static str {
         match self {
             Rung::JointIlp => "joint-ilp",
-            Rung::TruncatedIlp => "truncated-ilp",
             Rung::TargetSearch => "target-search",
             Rung::DaddaPrefix => "dadda-prefix",
         }
@@ -117,22 +136,29 @@ pub enum RungOutcome {
     Skipped(String),
 }
 
-/// One ladder entry: a rung and what became of it.
+/// One ladder entry: a rung, what became of it, and how long it ran.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RungAttempt {
     /// Which rung.
     pub rung: Rung,
     /// Its outcome.
     pub outcome: RungOutcome,
+    /// Wall time the rung ran, whether it won, lost or failed; zero when
+    /// it was skipped.
+    pub duration: Duration,
 }
 
 impl fmt::Display for RungAttempt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.outcome {
-            RungOutcome::Succeeded { objective } => {
-                write!(f, "{}: ok (objective {objective})", self.rung)
+            RungOutcome::Succeeded { objective } => write!(
+                f,
+                "{}: ok (objective {objective}, {:.1?})",
+                self.rung, self.duration
+            ),
+            RungOutcome::Failed(why) => {
+                write!(f, "{}: failed ({why}, {:.1?})", self.rung, self.duration)
             }
-            RungOutcome::Failed(why) => write!(f, "{}: failed ({why})", self.rung),
             RungOutcome::Skipped(why) => write!(f, "{}: skipped ({why})", self.rung),
         }
     }
@@ -390,9 +416,10 @@ pub struct GlobalSolution {
 /// variable spaces differ — but the final-height profile `V_s`: the
 /// steered schedule generator re-derives a feasible schedule toward the
 /// donor's profile in the recipient's geometry, and that schedule seeds
-/// both the joint ILP (via the certified warm-start path, so a bad hint
-/// is rejected with the violated constraint named, never trusted) and the
-/// target-search hill-climb. Hints only ever change how fast the
+/// the target-search hill-climb and, where the ladder runs it (at most
+/// [`JOINT_ILP_MAX_COLUMNS`] columns), the joint ILP (via the certified
+/// warm-start path, so a bad hint is rejected with the violated
+/// constraint named, never trusted). Hints only ever change how fast the
 /// optimizer closes, not which solutions are feasible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmStartHint {
@@ -791,27 +818,6 @@ pub fn build_joint_model(
     Ok(JointModel { model, seeds, ct })
 }
 
-/// The truncated-ILP rung: solve the CT ILP alone (the prefix coupling
-/// truncated away) and post-pass with the exact full-width prefix DP.
-fn truncated_ilp_budgeted(
-    v0: &Bcv,
-    cfg: &GomilConfig,
-    budget: &Budget,
-) -> Result<GlobalSolution, SolveError> {
-    if try_required_stages(v0).is_none() {
-        return Err(SolveError::Infeasible);
-    }
-    let ct = CtIlp::build(v0, cfg);
-    let ct_sol = ct.solve_budgeted(cfg, budget)?;
-    let vs = ct_sol
-        .schedule
-        .final_bcv(v0)
-        .expect("solver output is feasible");
-    let mut out = solution_from(vs, ct_sol.schedule, cfg, "truncated-ilp");
-    out.solver_stats = Some(ct_sol.stats);
-    Ok(out)
-}
-
 /// Runs a rung's closure inside a panic guard, converting an unwind into a
 /// typed [`RungFailure::Panic`] so the ladder can move on.
 fn guarded(
@@ -850,25 +856,26 @@ pub fn optimize_global(v0: &Bcv, cfg: &GomilConfig) -> Result<GlobalSolution, Go
 }
 
 /// The degradation ladder under an explicit shared budget: joint ILP →
-/// truncated ILP → target search → plain Dadda + optimal prefix.
+/// target search → plain Dadda + optimal prefix.
 ///
 /// Rules of the ladder:
 ///
-/// * the joint ILP only runs for ≤ 16 columns (its size grows as
-///   `Θ(n·L²)`; past that a dense-tableau B&B stops being productive
-///   within sane budgets — this mirrors the paper's own scalability
-///   concession, the `L` truncation and runtime cap);
-/// * the truncated ILP only runs if the joint ILP *failed* (when the
-///   joint model succeeds its answer dominates; when it was skipped for
-///   size the CT-only model would be skipped for the same reason);
+/// * the joint ILP only runs on matrices of at most
+///   [`JOINT_ILP_MAX_COLUMNS`] columns, the widths where it proves its
+///   optimum inside the solver budget (its size grows as `Θ(n·L²)`; past
+///   that it spends the whole budget and never beats target search — this
+///   mirrors the paper's own scalability concession, the `L` truncation
+///   and runtime cap);
 /// * the target search always runs while budget remains, and the best
-///   objective across successful rungs wins;
+///   objective across successful rungs wins; a tie goes to the earlier
+///   rung;
 /// * the final Dadda rung runs only when nothing else succeeded and is
 ///   never budget-checked, so a solution always comes back;
 /// * every rung executes inside a panic guard — a crashing rung is
 ///   recorded as [`RungFailure::Panic`] and the ladder continues.
 ///
-/// The returned solution carries the full [`DegradationReport`].
+/// The returned solution carries the full [`DegradationReport`], with the
+/// wall time of every rung that ran.
 ///
 /// # Errors
 ///
@@ -881,10 +888,57 @@ pub fn optimize_global_with_budget(
     optimize_global_hinted(v0, cfg, budget, None)
 }
 
+/// The ladder's running record: every attempt so far and the best
+/// solution among them.
+#[derive(Default)]
+struct Ladder {
+    attempts: Vec<RungAttempt>,
+    best: Option<(Rung, GlobalSolution)>,
+}
+
+impl Ladder {
+    fn skip(&mut self, rung: Rung, reason: String) {
+        self.attempts.push(RungAttempt {
+            rung,
+            outcome: RungOutcome::Skipped(reason),
+            duration: Duration::ZERO,
+        });
+    }
+
+    /// Runs `rung` inside a panic guard and records its outcome and wall
+    /// time. Its solution replaces the incumbent only when strictly
+    /// better, so ties go to the earlier rung.
+    fn run(&mut self, rung: Rung, f: impl FnOnce() -> Result<GlobalSolution, RungFailure>) {
+        let t0 = Instant::now();
+        let result = guarded(f);
+        let duration = t0.elapsed();
+        let outcome = match result {
+            Ok(sol) => {
+                let objective = sol.objective;
+                let better = match &self.best {
+                    Some((_, incumbent)) => objective < incumbent.objective - 1e-9,
+                    None => true,
+                };
+                if better {
+                    self.best = Some((rung, sol));
+                }
+                RungOutcome::Succeeded { objective }
+            }
+            Err(why) => RungOutcome::Failed(why),
+        };
+        self.attempts.push(RungAttempt {
+            rung,
+            outcome,
+            duration,
+        });
+    }
+}
+
 /// [`optimize_global_with_budget`] with a neighbor incumbent hand-off:
-/// the hint seeds both ILP rungs' warm starts and the target search (see
-/// [`WarmStartHint`]). Used by the serving layer to accelerate queued
-/// neighbor requests; `None` is exactly the unhinted ladder.
+/// the hint seeds the joint ILP's warm starts (where that rung runs) and
+/// the target search (see [`WarmStartHint`]). Used by the serving layer
+/// to accelerate queued neighbor requests; `None` is exactly the unhinted
+/// ladder.
 ///
 /// # Errors
 ///
@@ -895,133 +949,64 @@ pub fn optimize_global_hinted(
     budget: &Budget,
     hint: Option<&WarmStartHint>,
 ) -> Result<GlobalSolution, GomilError> {
-    fn record(
-        attempts: &mut Vec<RungAttempt>,
-        best: &mut Option<(Rung, GlobalSolution)>,
-        rung: Rung,
-        sol: GlobalSolution,
-    ) {
-        attempts.push(RungAttempt {
-            rung,
-            outcome: RungOutcome::Succeeded {
-                objective: sol.objective,
-            },
-        });
-        let better = match best {
-            Some((_, incumbent)) => sol.objective < incumbent.objective - 1e-9,
-            None => true,
-        };
-        if better {
-            *best = Some((rung, sol));
-        }
-    }
-    let mut attempts: Vec<RungAttempt> = Vec::new();
-    let mut best: Option<(Rung, GlobalSolution)> = None;
+    let mut ladder = Ladder::default();
 
-    // Rung 1: the paper's joint ILP.
-    if v0.len() > 16 {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(format!(
-                "{} columns exceed the joint ILP's practical size (16)",
+    // Rung 1: the paper's joint ILP, only where it finishes.
+    if v0.len() > JOINT_ILP_MAX_COLUMNS {
+        ladder.skip(
+            Rung::JointIlp,
+            format!(
+                "{} columns exceed the joint ILP's proving size ({JOINT_ILP_MAX_COLUMNS})",
                 v0.len()
-            )),
-        });
-    } else if try_required_stages(v0).is_none() {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(
-                "profile has no leftmost-free reduction (Eq. 4)".to_string(),
             ),
-        });
+        );
+    } else if try_required_stages(v0).is_none() {
+        ladder.skip(
+            Rung::JointIlp,
+            "profile has no leftmost-free reduction (Eq. 4)".to_string(),
+        );
     } else if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
+        ladder.skip(
+            Rung::JointIlp,
+            format!("budget already exhausted: {reason}"),
+        );
     } else {
-        match guarded(|| joint_ilp_hinted(v0, cfg, budget, hint).map_err(RungFailure::Solve)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::JointIlp, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::JointIlp,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
+        ladder.run(Rung::JointIlp, || {
+            joint_ilp_hinted(v0, cfg, budget, hint).map_err(RungFailure::Solve)
+        });
     }
 
-    // Rung 2: CT-only ILP, a repair path for joint-model failures.
-    let joint_failed = matches!(
-        attempts.last(),
-        Some(RungAttempt {
-            rung: Rung::JointIlp,
-            outcome: RungOutcome::Failed(_),
-        })
-    );
-    if !joint_failed {
-        let why = if best.is_some() {
-            "joint ILP succeeded".to_string()
-        } else {
-            "joint ILP was not attempted".to_string()
-        };
-        attempts.push(RungAttempt {
-            rung: Rung::TruncatedIlp,
-            outcome: RungOutcome::Skipped(why),
-        });
-    } else if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::TruncatedIlp,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
-    } else {
-        match guarded(|| truncated_ilp_budgeted(v0, cfg, budget).map_err(RungFailure::Solve)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::TruncatedIlp, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::TruncatedIlp,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
-    }
-
-    // Rung 3: the target search — always competitive, scores the full
-    // prefix cost, and its result is kept when it beats the ILPs.
+    // Rung 2: the target search — always competitive, scores the full
+    // prefix cost, and its result is kept when it beats the ILP.
     if let Err(reason) = budget.check() {
-        attempts.push(RungAttempt {
-            rung: Rung::TargetSearch,
-            outcome: RungOutcome::Skipped(format!("budget already exhausted: {reason}")),
-        });
+        ladder.skip(
+            Rung::TargetSearch,
+            format!("budget already exhausted: {reason}"),
+        );
     } else {
-        match guarded(|| target_search_hinted(v0, cfg, budget, hint).map_err(RungFailure::Budget)) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::TargetSearch, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::TargetSearch,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
+        ladder.run(Rung::TargetSearch, || {
+            target_search_hinted(v0, cfg, budget, hint).map_err(RungFailure::Budget)
+        });
     }
 
-    // Rung 4: plain Dadda + optimal prefix — unconditional last resort,
+    // Rung 3: plain Dadda + optimal prefix — unconditional last resort,
     // deliberately not budget-checked so *something* always comes back.
-    if best.is_some() {
-        attempts.push(RungAttempt {
-            rung: Rung::DaddaPrefix,
-            outcome: RungOutcome::Skipped("an earlier rung already succeeded".to_string()),
-        });
+    if ladder.best.is_some() {
+        ladder.skip(
+            Rung::DaddaPrefix,
+            "an earlier rung already succeeded".to_string(),
+        );
     } else {
-        match guarded(|| {
+        ladder.run(Rung::DaddaPrefix, || {
             let dadda = dadda_schedule(v0);
             let vs = dadda
                 .final_bcv(v0)
                 .map_err(|e| RungFailure::Solve(SolveError::Numerical(e.to_string())))?;
             Ok(solution_from(vs, dadda, cfg, "dadda-prefix"))
-        }) {
-            Ok(sol) => record(&mut attempts, &mut best, Rung::DaddaPrefix, sol),
-            Err(why) => attempts.push(RungAttempt {
-                rung: Rung::DaddaPrefix,
-                outcome: RungOutcome::Failed(why),
-            }),
-        }
+        });
     }
 
+    let Ladder { attempts, best } = ladder;
     let report = DegradationReport {
         winner: best.as_ref().map(|(rung, _)| *rung),
         attempts,
@@ -1097,7 +1082,8 @@ mod tests {
 
     #[test]
     fn optimize_global_picks_the_better_strategy() {
-        let v0 = Bcv::and_ppg(4);
+        // m = 3: both the joint ILP and target search run.
+        let v0 = Bcv::and_ppg(3);
         let both = optimize_global(&v0, &cfg()).unwrap();
         let searched = target_search(&v0, &cfg());
         assert!(both.objective <= searched.objective + 1e-9);
@@ -1114,16 +1100,71 @@ mod tests {
         let rungs: Vec<Rung> = sol.degradation.attempts.iter().map(|a| a.rung).collect();
         assert_eq!(
             rungs,
-            vec![
-                Rung::JointIlp,
-                Rung::TruncatedIlp,
-                Rung::TargetSearch,
-                Rung::DaddaPrefix
-            ]
+            vec![Rung::JointIlp, Rung::TargetSearch, Rung::DaddaPrefix]
         );
         // The display renders without panicking and names the winner.
         let text = sol.degradation.to_string();
         assert!(text.contains("winner"), "{text}");
+    }
+
+    #[test]
+    fn rung_attempts_carry_their_wall_time() {
+        let v0 = Bcv::and_ppg(3);
+        let sol = optimize_global(&v0, &cfg()).unwrap();
+        let report = &sol.degradation;
+        let joint = report.attempt(Rung::JointIlp).expect("joint ILP recorded");
+        assert!(
+            matches!(joint.outcome, RungOutcome::Succeeded { .. }),
+            "{report}"
+        );
+        assert!(joint.duration > Duration::ZERO, "{report}");
+        for a in &report.attempts {
+            if matches!(a.outcome, RungOutcome::Skipped(_)) {
+                assert_eq!(a.duration, Duration::ZERO, "{report}");
+            }
+        }
+        // The Dadda rung is skipped once an earlier rung succeeded.
+        let dadda = report.attempt(Rung::DaddaPrefix).unwrap();
+        assert!(matches!(dadda.outcome, RungOutcome::Skipped(_)), "{report}");
+        assert!(
+            report
+                .to_string()
+                .contains(&format!("{:.1?}", joint.duration)),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn joint_ilp_wins_where_it_proves_a_better_design() {
+        // m = 2 AND: 3 columns, well inside the joint ILP's size guard.
+        let v0 = Bcv::and_ppg(2);
+        let sol = optimize_global(&v0, &cfg()).unwrap();
+        let report = &sol.degradation;
+        assert_eq!(report.winner, Some(Rung::JointIlp), "{report}");
+        assert_eq!(sol.objective, 22.0, "{report}");
+        let searched = &report.attempt(Rung::TargetSearch).unwrap().outcome;
+        assert_eq!(
+            searched,
+            &RungOutcome::Succeeded { objective: 29.0 },
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn joint_ilp_is_skipped_beyond_its_size_guard() {
+        // m = 4 AND: 7 columns, one past the guard.
+        let v0 = Bcv::and_ppg(4);
+        assert_eq!(v0.len(), JOINT_ILP_MAX_COLUMNS + 1);
+        let sol = optimize_global(&v0, &cfg()).unwrap();
+        let report = &sol.degradation;
+        let joint = report.attempt(Rung::JointIlp).unwrap();
+        match &joint.outcome {
+            RungOutcome::Skipped(why) => assert!(why.contains("7 columns exceed"), "{why}"),
+            other => panic!("joint ILP should be skipped, got {other:?}"),
+        }
+        assert_eq!(joint.duration, Duration::ZERO);
+        assert_eq!(report.winner, Some(Rung::TargetSearch), "{report}");
+        assert_eq!(sol.objective, 98.0, "{report}");
     }
 
     #[test]

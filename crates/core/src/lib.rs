@@ -39,7 +39,7 @@
 //!
 //! Every failure of the pipeline is a typed [`GomilError`]; panics are
 //! contained. [`optimize_global`] runs a graceful-degradation ladder
-//! (joint ILP → truncated ILP → target search → plain Dadda + optimal
+//! (joint ILP where it finishes → target search → plain Dadda + optimal
 //! prefix) under an optional end-to-end wall-clock budget
 //! ([`GomilConfig::pipeline_budget`]), recording every absorbed failure in
 //! a [`DegradationReport`]. ILP solutions are re-checked by an independent
@@ -72,7 +72,7 @@ pub use global::{
     build_joint_model, joint_ilp, joint_ilp_budgeted, joint_ilp_hinted, optimize_global,
     optimize_global_hinted, optimize_global_with_budget, target_search, target_search_budgeted,
     target_search_hinted, DegradationReport, GlobalSolution, JointModel, Rung, RungAttempt,
-    RungFailure, RungOutcome, SolveStats, WarmStartHint,
+    RungFailure, RungOutcome, SolveStats, WarmStartHint, JOINT_ILP_MAX_COLUMNS,
 };
 pub use prefix_ilp::{add_prefix_constraints, solve_fixed_prefix_ip, LeafB, PrefixVars};
 pub use report::{format_table, normalize, solve_summary, DesignReport, NormalizedRow};

@@ -60,7 +60,7 @@ fn solve_objective(model: &Model, probing: bool) -> f64 {
 }
 
 fn solve_objective_with(model: &Model, cfg: &BranchConfig) -> f64 {
-    let sol = model.solve_with(&cfg).expect("roster instance must solve");
+    let sol = model.solve_with(cfg).expect("roster instance must solve");
     assert!(sol.is_optimal(), "{}: must prove optimality", model.name());
     assert!(
         sol.certificate().is_some(),

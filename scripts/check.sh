@@ -28,6 +28,9 @@ cargo run -q --release -p gomil-bench --bin solver_scaling -- --quick
 echo "==> equivalence smoke gate (release: strict-verify roster, proved/tested tiers)"
 cargo run -q --release -p gomil-bench --bin equiv_smoke -- --quick
 
+echo "==> narrow-lattice roster gate (release: no m <= 8 cell served worse than its baseline, no failed verdict, cold m=8 AND under 1 s)"
+cargo run -q --release -p gomil-bench --bin narrow_lattice -- --quick
+
 echo "==> HTTP smoke (gomil serve --listen: solve over a socket, metrics, graceful drain)"
 scripts/http_smoke.sh
 
