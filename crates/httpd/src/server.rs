@@ -20,6 +20,9 @@
 //!           ServeOutcome JSON (or chunked incumbent stream)
 //! ```
 //!
+//! The accept loop blocks in `accept()`; nothing on the request path
+//! waits on a timer. One thread serves each connection.
+//!
 //! ## Drain state machine
 //!
 //! `Running ──shutdown()──► Draining ──(in-flight done | budget up)──► Stopped`
@@ -30,6 +33,13 @@
 //! cancelled — the solver unwinds its degradation ladder and the request
 //! still gets a correct (degraded) answer. Once idle, the cache is
 //! persisted and [`Server::run`] returns.
+//!
+//! Drain wakes the blocked `accept()` with a throwaway connection to the
+//! listener's own address (loopback when bound to an unspecified IP); the
+//! loop re-checks the drain flag after every accept and drops that
+//! connection. The wait for idleness is a condvar wait, not a poll:
+//! admission counts held permits and open connections under one mutex,
+//! and releasing either notifies the drain, bounded by the drain budget.
 
 use crate::http::{read_request, write_response, ChunkedWriter, HttpError, Request};
 use crate::json::{self, Json};
@@ -41,8 +51,8 @@ use gomil_serve::{
 };
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -90,12 +100,16 @@ struct AdmissionState {
     inflight: usize,
     waiting: usize,
     draining: bool,
+    /// Connections whose thread has not finished yet.
+    open_conns: usize,
 }
 
 /// Permits + bounded waiting room. A classic counting semaphore except
 /// that waiters are deadline-aware (a queued request sheds itself once
 /// its own deadline means it could never finish) and drain-aware (drain
-/// wakes every waiter with [`Ticket::Draining`]).
+/// wakes every waiter with [`Ticket::Draining`]). It also counts open
+/// connections, so that drain can wait on one condvar until no permit
+/// is held and no connection is open.
 struct Admission {
     state: Mutex<AdmissionState>,
     changed: Condvar,
@@ -156,6 +170,40 @@ impl Admission {
         self.changed.notify_all();
     }
 
+    fn open_conn(&self) {
+        self.state
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .open_conns += 1;
+    }
+
+    fn close_conn(&self) {
+        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        s.open_conns = s.open_conns.saturating_sub(1);
+        drop(s);
+        self.changed.notify_all();
+    }
+
+    /// Blocks until no permit is held and no connection is open, or
+    /// until `deadline`; returns whether the server went idle.
+    fn wait_idle(&self, deadline: Instant) -> bool {
+        let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        loop {
+            if s.inflight == 0 && s.open_conns == 0 {
+                return true;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return false;
+            }
+            s = self
+                .changed
+                .wait_timeout(s, deadline - now)
+                .unwrap_or_else(|p| p.into_inner())
+                .0;
+        }
+    }
+
     fn start_drain(&self) {
         self.state
             .lock()
@@ -177,7 +225,8 @@ struct Shared {
     cfg: HttpdConfig,
     admission: Admission,
     shutdown: AtomicBool,
-    open_conns: AtomicUsize,
+    /// Where drain connects to wake the blocked `accept()`.
+    wake_addr: SocketAddr,
     /// Budgets of in-flight requests, cancelled wholesale when the drain
     /// budget runs out (and individually on client disconnect).
     budgets: Mutex<HashMap<u64, Budget>>,
@@ -210,7 +259,20 @@ impl Shared {
     }
 
     fn draining(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Initiates graceful drain; idempotent. Sets the flag, turns
+    /// admission away, then wakes the accept loop with a throwaway
+    /// connection so that it sees the flag.
+    fn begin_drain(&self) {
+        if self.shutdown.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.admission.start_drain();
+        // A failed connect only means the accept loop wakes on the next
+        // real connection instead.
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
     }
 
     /// `Retry-After` seconds for a shed reply: the expected time for the
@@ -262,8 +324,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// Initiates graceful drain; idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::Relaxed);
-        self.shared.admission.start_drain();
+        self.shared.begin_drain();
     }
 
     /// Whether drain has been initiated.
@@ -289,7 +350,13 @@ impl Server {
     /// Propagates bind failures.
     pub fn bind(service: Arc<SolveService>, addr: &str, cfg: HttpdConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
         Ok(Server {
             listener,
             shared: Arc::new(Shared {
@@ -297,7 +364,7 @@ impl Server {
                 cfg,
                 admission: Admission::new(),
                 shutdown: AtomicBool::new(false),
-                open_conns: AtomicUsize::new(0),
+                wake_addr,
                 budgets: Mutex::new(HashMap::new()),
                 budget_seq: AtomicU64::new(0),
             }),
@@ -330,44 +397,42 @@ impl Server {
     /// persistence failure (in-flight answers are never lost to either).
     pub fn run(self) -> io::Result<()> {
         while !self.shared.draining() {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let shared = Arc::clone(&self.shared);
-                    shared.open_conns.fetch_add(1, Ordering::Relaxed);
-                    std::thread::spawn(move || {
-                        let _ = handle_connection(&shared, stream);
-                        shared.open_conns.fetch_sub(1, Ordering::Relaxed);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
+            let stream = match self.listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            if self.shared.draining() {
+                // The drain's wake-up connection (or a client that lost
+                // the race with drain): dropped unserved.
+                break;
+            }
+            self.shared.admission.open_conn();
+            let shared = Arc::clone(&self.shared);
+            let spawned = std::thread::Builder::new()
+                .name("gomil-httpd-conn".into())
+                .spawn(move || {
+                    let _ = handle_connection(&shared, stream);
+                    shared.admission.close_conn();
+                });
+            if spawned.is_err() {
+                // The OS refused a thread. The failed spawn dropped the
+                // closure and with it the stream, so the client sees its
+                // connection reset; undo the count so drain does not wait
+                // for a connection nobody serves.
+                self.shared.admission.close_conn();
             }
         }
 
         // Draining: no new connections; give in-flight work the budget.
-        self.shared.admission.start_drain();
-        let deadline = Instant::now() + self.shared.cfg.drain_budget;
-        while Instant::now() < deadline {
-            let (inflight, _, _) = self.shared.admission.snapshot();
-            if inflight == 0 && self.shared.open_conns.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let budget = self.shared.cfg.drain_budget;
         // Budget up: cancel stragglers — each unwinds the degradation
         // ladder and still answers its client — then wait briefly for
         // the unwind itself.
-        if self.shared.cancel_all_budgets() > 0 {
-            let grace = Instant::now() + self.shared.cfg.drain_budget;
-            while Instant::now() < grace {
-                let (inflight, _, _) = self.shared.admission.snapshot();
-                if inflight == 0 && self.shared.open_conns.load(Ordering::Relaxed) == 0 {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(20));
-            }
+        if !self.shared.admission.wait_idle(Instant::now() + budget)
+            && self.shared.cancel_all_budgets() > 0
+        {
+            self.shared.admission.wait_idle(Instant::now() + budget);
         }
         // No lost cache writes: persistence is the last drain step, after
         // every in-flight publish has settled.
@@ -491,8 +556,7 @@ fn route(
             }
         }
         ("POST", "/shutdown") => {
-            shared.shutdown.store(true, Ordering::Relaxed);
-            shared.admission.start_drain();
+            shared.begin_drain();
             reply_json(stream, 200, "{\"status\":\"draining\"}\n", close)
         }
         ("POST", "/solve") => handle_solve(shared, stream, request, close),
@@ -933,6 +997,31 @@ mod tests {
         assert!(matches!(waiter.join().unwrap(), Ticket::Admitted));
         let (inflight, waiting, _) = adm.snapshot();
         assert_eq!((inflight, waiting), (1, 0));
+    }
+
+    #[test]
+    fn drain_wait_wakes_on_the_last_release_and_close() {
+        let adm = Arc::new(Admission::new());
+        assert!(adm.wait_idle(Instant::now()), "nothing held: idle at once");
+        assert!(matches!(adm.acquire(1, 0, None), Ticket::Admitted));
+        adm.open_conn();
+        // Held work times out at the deadline instead of waiting forever.
+        assert!(!adm.wait_idle(Instant::now() + Duration::from_millis(10)));
+        let a2 = Arc::clone(&adm);
+        let finisher = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            a2.release();
+            std::thread::sleep(Duration::from_millis(20));
+            a2.close_conn();
+        });
+        let t0 = Instant::now();
+        assert!(adm.wait_idle(Instant::now() + Duration::from_secs(10)));
+        let waited = t0.elapsed();
+        assert!(
+            waited < Duration::from_secs(5),
+            "woken by the close, not the deadline: {waited:?}"
+        );
+        finisher.join().unwrap();
     }
 
     /// Regression for the Retry-After under-estimate: the mean solve

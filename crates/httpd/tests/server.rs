@@ -41,17 +41,21 @@ fn outcome_for(m: usize) -> ServeOutcome {
     }
 }
 
-/// A server whose solver sleeps `solve_ms` per request (cancellation-
-/// aware) and counts invocations.
-fn start_server(
-    solve_ms: u64,
-    httpd: HttpdConfig,
-) -> (
+type Started = (
     String,
     gomil_httpd::ServerHandle,
     std::thread::JoinHandle<std::io::Result<()>>,
     Arc<AtomicU64>,
-) {
+);
+
+/// A server whose solver sleeps `solve_ms` per request (cancellation-
+/// aware) and counts invocations.
+fn start_server(solve_ms: u64, httpd: HttpdConfig) -> Started {
+    start_server_on("127.0.0.1:0", solve_ms, httpd)
+}
+
+/// [`start_server`] bound to `bind_addr`.
+fn start_server_on(bind_addr: &str, solve_ms: u64, httpd: HttpdConfig) -> Started {
     let invocations = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&invocations);
     let service = SolveService::new(
@@ -83,11 +87,103 @@ fn start_server(
         },
     )
     .unwrap();
-    let server = Server::bind(Arc::new(service), "127.0.0.1:0", httpd).unwrap();
+    let server = Server::bind(Arc::new(service), bind_addr, httpd).unwrap();
     let addr = server.local_addr().unwrap().to_string();
     let handle = server.handle();
     let join = std::thread::spawn(move || server.run());
     (addr, handle, join, invocations)
+}
+
+/// Waits up to `limit` for `run()` to return and yields its result, or
+/// `None` if it is still running.
+fn join_within(
+    join: std::thread::JoinHandle<std::io::Result<()>>,
+    limit: Duration,
+) -> Option<std::io::Result<()>> {
+    let t0 = Instant::now();
+    while !join.is_finished() {
+        if t0.elapsed() >= limit {
+            return None;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    Some(join.join().unwrap())
+}
+
+#[test]
+fn drain_wakes_an_idle_blocking_accept() {
+    // No traffic at all: run() sits in a blocking accept(), and only the
+    // drain's wake-up connection can get it out. An unspecified bind
+    // address must be woken through loopback.
+    for bind_addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let (_addr, handle, join, _) = start_server_on(bind_addr, 5, HttpdConfig::default());
+        std::thread::sleep(Duration::from_millis(20)); // let run() block
+        let t0 = Instant::now();
+        handle.shutdown();
+        let result = join_within(join, Duration::from_millis(500));
+        let result = result.unwrap_or_else(|| panic!("{bind_addr}: run() still blocked"));
+        assert!(result.is_ok(), "{bind_addr}: {result:?}");
+        assert!(t0.elapsed() < Duration::from_millis(500), "{bind_addr}");
+    }
+}
+
+#[test]
+fn no_poll_sleep_on_the_request_path_or_in_drain() {
+    let (addr, handle, join, _) = start_server(5, HttpdConfig::default());
+    // Warm the path once (thread spawn, first allocations).
+    assert_eq!(
+        client::request(&addr, "GET", "/healthz", &[], b"")
+            .unwrap()
+            .status,
+        200
+    );
+    // 20 sequential requests, each on a fresh connection: a 10 ms sleep
+    // in the accept loop would make this take at least 200 ms.
+    let t0 = Instant::now();
+    for _ in 0..20 {
+        let health = client::request(&addr, "GET", "/healthz", &[], b"").unwrap();
+        assert_eq!(health.status, 200);
+    }
+    let elapsed = t0.elapsed();
+    assert!(
+        elapsed < Duration::from_millis(100),
+        "20 requests took {elapsed:?}"
+    );
+
+    // Drain with no in-flight work is an event wait: a 20 ms poll would
+    // make it take at least 20 ms.
+    let t0 = Instant::now();
+    handle.shutdown();
+    let result = join_within(join, Duration::from_secs(5)).expect("run() never returned");
+    let elapsed = t0.elapsed();
+    result.unwrap();
+    assert!(
+        elapsed < Duration::from_millis(50),
+        "idle drain took {elapsed:?}"
+    );
+}
+
+#[test]
+fn drain_returns_as_soon_as_the_last_solve_finishes() {
+    // Shut down while a ~5 ms solve is in flight. An event-driven drain
+    // returns right after that solve answers; a drain that polls every
+    // 20 ms finds it busy on its first check and cannot return before
+    // 20 ms. The best of three trials absorbs scheduler noise.
+    let mut best = Duration::MAX;
+    for _ in 0..3 {
+        let (addr, handle, join, invocations) = start_server(5, HttpdConfig::default());
+        let client = std::thread::spawn(move || client::post_json(&addr, "/solve", r#"{"m": 9}"#));
+        while invocations.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let t0 = Instant::now();
+        handle.shutdown();
+        let result = join_within(join, Duration::from_secs(5)).expect("run() never returned");
+        best = best.min(t0.elapsed());
+        result.unwrap();
+        assert_eq!(client.join().unwrap().unwrap().status, 200);
+    }
+    assert!(best < Duration::from_millis(20), "busy drain took {best:?}");
 }
 
 #[test]

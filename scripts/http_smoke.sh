@@ -45,15 +45,20 @@ bad=$(echo "$metrics" | grep -v '^#' | awk 'NF != 2 || $2 !~ /^[0-9.+eE-]+$|^inf
 [ -z "$bad" ] || { echo "FAIL: unparseable metric lines:"; echo "$bad"; exit 1; }
 echo "    GET /metrics: parseable, requests counted"
 
-# Graceful drain: POST /shutdown, the process must exit 0 by itself.
+# Graceful drain: POST /shutdown, the process must exit 0 by itself,
+# and within 1 s (an idle drain is an event wait, not a poll or a stall).
+drain_start=$(date +%s%N)
 curl -sS -X POST "http://$addr/shutdown" | grep -q draining \
     || { echo "FAIL: shutdown did not acknowledge drain"; exit 1; }
-for _ in $(seq 1 100); do
+for _ in $(seq 1 1000); do
     kill -0 "$server_pid" 2>/dev/null || break
-    sleep 0.1
+    sleep 0.01
 done
 if kill -0 "$server_pid" 2>/dev/null; then
-    echo "FAIL: server still running after drain"; exit 1
+    echo "FAIL: server still running 10 s after drain"; exit 1
 fi
 wait "$server_pid" || { echo "FAIL: drain exited non-zero"; exit 1; }
-echo "    drain: clean exit 0"
+drain_ms=$(( ($(date +%s%N) - drain_start) / 1000000 ))
+[ "$drain_ms" -le 1000 ] \
+    || { echo "FAIL: drain took ${drain_ms} ms (limit 1000 ms)"; exit 1; }
+echo "    drain: clean exit 0 in ${drain_ms} ms"
