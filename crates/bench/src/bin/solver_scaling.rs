@@ -1,6 +1,8 @@
-//! Experiment: parallel versus sequential branch and bound, warm-restart
-//! basis reuse, and the root-node stage (pricing, presolve, cuts) on the
-//! GOMIL ILPs. Writes `BENCH_ilp.json`.
+//! Experiment: branch and bound with a pool of one worker versus a pool
+//! of N, warm-restart basis reuse, and the root-node stage (pricing,
+//! presolve, cuts) on the GOMIL ILPs. Writes `BENCH_ilp.json`, stamped with
+//! the git commit it was built from, the host CPU count, and the budgets
+//! and flags of the run.
 //!
 //! Five sections, honest about what each can show:
 //!
@@ -15,18 +17,17 @@
 //!   `iteration_ratio_per_node` (iterations-per-node quotient); entries
 //!   with mismatched node counts carry `node_counts_match: false`.
 //! * **root profile** — the per-phase breakdown (model build, presolve,
-//!   first factorization, root LP, cut rounds) of the widest models,
-//!   where the root node dominates the whole budget.
+//!   first factorization, first root LP solve, cut loop) of the widest
+//!   models, where the root node dominates the whole budget.
 //! * **joint m=32** — the paper's Eq. 27 model at the acceptance width,
-//!   sequential versus parallel job counts.
+//!   a pool of one versus a pool of N.
 //! * **CT m=32** — the compressor-tree ILP alone (the prefix coupling
 //!   dropped), a smaller, numerically tamer reference model than the
-//!   joint one; no serving path solves it. On a multi-core host `jobs=N`
-//!   explores ~N× nodes per second;
-//!   on a single-core host (see `host_cpus`) the parallel engine matches
-//!   sequential within scheduling overhead.
+//!   joint one; no serving path solves it. On a multi-core host a pool of
+//!   N explores ~N× nodes per second; on a single-core host (see
+//!   `host_cpus`) it matches the pool of one within scheduling overhead.
 //! * **equality roster** — randomized MILPs sized m ∈ {8, 16, 32, 64}:
-//!   every job count and every pricing/cut configuration must prove the
+//!   every pool size and every pricing/cut configuration must prove the
 //!   same objective and certify.
 //!
 //! `--quick` runs the CI gates and exits nonzero on regression: the
@@ -36,9 +37,8 @@
 //! certified objectives anywhere on the proved roster), the hypersparse
 //! gate (sparse FTRAN/BTRAN kernels must fire on the CT m=32 root and
 //! its iterations/wall-clock must stay within fixed ratios of the
-//! recorded baseline), and the reduction-safety gate (LP reduction
-//! presolve and equilibration scaling must not change certified
-//! objectives on the quick roster).
+//! recorded baseline), and the scaling-safety gate (equilibration
+//! scaling must not change certified objectives on the quick roster).
 //!
 //! Usage: `cargo run --release -p gomil-bench --bin solver_scaling --
 //! [--quick] [--jobs N] [--ct-nodes N] [--joint-seconds S]
@@ -166,8 +166,8 @@ fn root_json(r: &RootProfile) -> String {
     format!(
         "{{\"build_us\": {}, \"presolve_us\": {}, \"first_factor_us\": {}, \
          \"root_lp_us\": {}, \"root_lp_iters\": {}, \"cut_rounds\": {}, \
-         \"cuts_added\": {}, \"cut_us\": {}, \"reduce_rows\": {}, \
-         \"reduce_cols\": {}, \"scale_rows\": {}, \"scale_range_before\": {}, \
+         \"cuts_added\": {}, \"cut_us\": {}, \"cut_lp_iters\": {}, \
+         \"scale_rows\": {}, \"scale_range_before\": {}, \
          \"scale_range_after\": {}}}",
         r.build_us,
         r.presolve_us,
@@ -177,8 +177,7 @@ fn root_json(r: &RootProfile) -> String {
         r.cut_rounds,
         r.cuts_added,
         r.cut_us,
-        r.reduce_rows,
-        r.reduce_cols,
+        r.cut_lp_iters,
         r.scale_rows,
         r.scale_range_before,
         r.scale_range_after,
@@ -482,32 +481,30 @@ fn quick_hypersparse_gate(cfg: &GomilConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// The reduction-safety half of the `--quick` gate: LP reduction presolve
-/// and equilibration scaling are exact reformulations, so switching them
-/// on must never change a certified objective on the quick roster.
-fn quick_reduction_safety_gate() -> Result<(), String> {
+/// The scaling-safety half of the `--quick` gate: equilibration scaling is
+/// an exact reformulation, so switching it on must never change a
+/// certified objective on the quick roster.
+fn quick_scaling_safety_gate() -> Result<(), String> {
     for n in [8usize, 16, 32, 64] {
         let model = random_knapsack(n, 0xC0FFEE ^ n as u64);
         let mut reference: Option<f64> = None;
-        for (reduce, scaling) in [(false, false), (true, false), (false, true), (true, true)] {
+        for scaling in [false, true] {
             let base = BranchConfig {
-                reduce,
                 scaling,
                 ..BranchConfig::default()
             };
             let run = Run::measure(&model, &base, 1)?;
             if !run.proved_optimal || !run.certified {
                 return Err(format!(
-                    "roster m={n} [reduce={reduce} scaling={scaling}]: solve was not \
-                     proved-and-certified"
+                    "roster m={n} [scaling={scaling}]: solve was not proved-and-certified"
                 ));
             }
             match reference {
                 None => reference = Some(run.objective),
                 Some(obj) if (obj - run.objective).abs() > 1e-6 => {
                     return Err(format!(
-                        "reduction-safety regression on roster m={n}: objective {} under \
-                         [reduce={reduce} scaling={scaling}] vs reference {obj}",
+                        "scaling-safety regression on roster m={n}: objective {} under \
+                         [scaling={scaling}] vs reference {obj}",
                         run.objective
                     ));
                 }
@@ -515,11 +512,25 @@ fn quick_reduction_safety_gate() -> Result<(), String> {
             }
         }
         eprintln!(
-            "  roster m={n}: all reduce/scaling configs proved objective {}",
+            "  roster m={n}: scaling off and on proved objective {}",
             reference.unwrap()
         );
     }
     Ok(())
+}
+
+/// The commit the bench was built from (`git rev-parse HEAD`), or
+/// `"unknown"` outside a git checkout.
+fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One `root_profile` section entry: the widest models solved under a root
@@ -586,8 +597,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         quick_cut_safety_gate()?;
         eprintln!("quick hypersparse gate …");
         quick_hypersparse_gate(&cfg)?;
-        eprintln!("quick reduction-safety gate …");
-        quick_reduction_safety_gate()?;
+        eprintln!("quick scaling-safety gate …");
+        quick_scaling_safety_gate()?;
         eprintln!("quick gates passed");
         return Ok(());
     }
@@ -786,17 +797,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // --- Section 5: proven-equality roster ---------------------------
-    eprintln!("equality roster m ∈ {{8, 16, 32, 64}} (jobs × pricing × cuts) …");
+    eprintln!("equality roster m ∈ {{8, 16, 32, 64}} (pool size × pricing × cuts) …");
     let mut roster = Vec::new();
     let mut all_configs_equal = true;
     for n in [8usize, 16, 32, 64] {
         let model = random_knapsack(n, 0xC0FFEE ^ n as u64);
         let base = BranchConfig::default();
-        let seq = Run::measure(&model, &base, 1).map_err(std::io::Error::other)?;
-        let par = Run::measure(&model, &base, par_jobs).map_err(std::io::Error::other)?;
-        let equal = (seq.objective - par.objective).abs() < 1e-6
-            && seq.proved_optimal
-            && par.proved_optimal;
+        let one = Run::measure(&model, &base, 1).map_err(std::io::Error::other)?;
+        let pool = Run::measure(&model, &base, par_jobs).map_err(std::io::Error::other)?;
+        let equal = (one.objective - pool.objective).abs() < 1e-6
+            && one.proved_optimal
+            && pool.proved_optimal;
         // Every pricing/cut combination must prove the same objective.
         let mut configs_equal = true;
         for pricing in [Pricing::Dantzig, Pricing::Devex] {
@@ -807,7 +818,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ..BranchConfig::default()
                 };
                 let run = Run::measure(&model, &cfg_base, 1).map_err(std::io::Error::other)?;
-                if (run.objective - seq.objective).abs() > 1e-6
+                if (run.objective - one.objective).abs() > 1e-6
                     || !run.proved_optimal
                     || !run.certified
                 {
@@ -818,43 +829,46 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         all_configs_equal &= configs_equal;
         eprintln!(
             "  m={n}: objective {} (jobs=1) vs {} (jobs={par_jobs}) — {}; configs {}",
-            seq.objective,
-            par.objective,
+            one.objective,
+            pool.objective,
             if equal { "equal, proved" } else { "MISMATCH" },
             if configs_equal { "equal" } else { "MISMATCH" }
         );
-        roster.push((n, seq, par, equal, configs_equal));
+        roster.push((n, one, pool, equal, configs_equal));
     }
     let all_equal = roster.iter().all(|(_, _, _, eq, _)| *eq);
 
     let roster_json = roster
         .iter()
-        .map(|(n, seq, par, eq, cfg_eq)| {
+        .map(|(n, one, pool, eq, cfg_eq)| {
             format!(
-                "      {{\"m\": {n}, \"equal_and_proved\": {eq}, \"all_configs_equal\": {cfg_eq},\n       \"sequential\": {},\n       \"parallel\": {}}}",
-                seq.to_json(),
-                par.to_json()
+                "      {{\"m\": {n}, \"equal_and_proved\": {eq}, \"all_configs_equal\": {cfg_eq},\n       \"pool_of_one\": {},\n       \"pool_of_n\": {}}}",
+                one.to_json(),
+                pool.to_json()
             )
         })
         .collect::<Vec<_>>()
         .join(",\n");
 
+    let commit = git_commit();
+    let args_line = args.join(" ").replace(['"', '\\'], "'");
     let joint_ratio_json = match joint_m32_ratio {
         Some(r) => format!("{r:.3}"),
         None => "null".to_string(),
     };
     let json = format!(
-        "{{\n  \"bench\": \"solver_scaling\",\n  \"host_cpus\": {host_cpus},\n  \
+        "{{\n  \"bench\": \"solver_scaling\",\n  \"commit\": \"{commit}\",\n  \"host_cpus\": {host_cpus},\n  \
+         \"config\": {{\"jobs\": {par_jobs}, \"ct_nodes\": {ct_nodes}, \"joint_seconds\": {joint_secs}, \"reuse_seconds\": {reuse_secs}, \"root_seconds\": {root_secs}, \"args\": \"{args_line}\"}},\n  \
          \"jobs_compared\": [1, {par_jobs}],\n  \
-         \"note\": \"wall-clock speedup from jobs > 1 requires host_cpus > 1; on a single-core host the parallel engine matches sequential within scheduling overhead\",\n  \
+         \"note\": \"pool of one vs pool of N: one search engine, jobs = 1 runs a single worker on the calling thread and jobs = N adds N - 1 helper threads; wall-clock speedup from a pool of N requires host_cpus > 1, and on a single-core host it matches the pool of one within scheduling overhead\",\n  \
          \"basis_reuse\": {{\n    \
          \"note\": \"same model, same budget, reuse_basis off vs on; iteration_ratio_per_node = from-scratch iters/node over warm iters/node (meaningful even when node counts differ); iteration_ratio_total is the raw quotient and is only meaningful when node_counts_match\",\n    \
          \"joint_m32_iteration_ratio_per_node\": {joint_ratio_json},\n    \"entries\": [\n{reuse_json}\n    ],\n    \"skipped\": [\n{skipped_json}\n    ]\n  }},\n  \
          \"root_profile\": {{\n    \
-         \"note\": \"widest models under a {root_secs}s budget; build_us is model construction, presolve/first-factor/root-LP/cuts are the in-solver root stage; gap may be the string sentinel 'infinite' when no dual bound exists yet\",\n    \
+         \"note\": \"widest models under a {root_secs}s budget; build_us is model construction, presolve/first-factor/root-LP/cuts are the in-solver root stage; root_lp_us/root_lp_iters cover the first root LP solve, cut_us/cut_lp_iters the cut loop (separation plus re-solves); gap may be the string sentinel 'infinite' when no dual bound exists yet\",\n    \
          \"entries\": [\n{root_profile_json}\n    ]\n  }},\n  \
          \"joint_ilp_m32\": {{\n    \"variables\": {joint_vars},\n    \"time_limit_seconds\": {joint_secs},\n    \
-         \"note\": \"at this width the root LP dominates the budget, so node counts stay close at every job count\",\n    \
+         \"note\": \"pool of one vs pool of N; at this width the root LP dominates the budget, so node counts stay close at every pool size\",\n    \
          \"runs\": [\n{}\n    ]\n  }},\n  \
          \"ct_ilp_m32\": {{\n    \"variables\": {ct_vars},\n    \"node_limit\": {ct_nodes},\n    \"runs\": [\n{}\n    ]\n  }},\n  \
          \"equality_roster\": {{\n    \"all_equal_and_proved\": {all_equal},\n    \"all_configs_equal\": {all_configs_equal},\n    \"instances\": [\n{}\n    ]\n  }}\n}}\n",

@@ -4,19 +4,19 @@
 //! gomil gen <m> [and|mbe] [--out FILE] [--verify off|fast|strict] [--no-verify]
 //!             [--budget-ms N] [--solver-jobs N]
 //!             [--pricing dantzig|devex] [--cuts off|root]
-//!             [--scaling on|off] [--reduce on|off]
+//!             [--scaling on|off]
 //!                                                      generate + export Verilog
 //! gomil compare <m>                                    Fig. 3-style table at one width
 //! gomil batch <m,m,…> [--all-ppg] [--jobs N] [--repeat K]
 //!             [--cache FILE|--no-cache-file] [--verify off|fast|strict]
 //!             [--budget-ms N] [--solver-jobs N]
 //!             [--pricing dantzig|devex] [--cuts off|root]
-//!             [--scaling on|off] [--reduce on|off]
+//!             [--scaling on|off]
 //!                                                      concurrent batch via gomil-serve
 //! gomil serve --requests FILE [--jobs N] [--cache FILE|--no-cache-file]
 //!             [--verify off|fast|strict] [--budget-ms N] [--solver-jobs N]
 //!             [--pricing dantzig|devex] [--cuts off|root]
-//!             [--scaling on|off] [--reduce on|off]
+//!             [--scaling on|off]
 //!                                                      serve a request file
 //! gomil serve --listen ADDR [--http-inflight N] [--http-queue N]
 //!             [--drain-ms N] [--deadline-ms N] [serve flags as above]
@@ -39,13 +39,16 @@
 //! individual ILP solve. They compose: `--jobs 4 --solver-jobs 2` runs up
 //! to four pipelines, each searching its tree with two threads.
 //!
+//! `--solver-jobs 1` (the default) searches each tree with a pool of one
+//! worker on the calling thread.
+//!
 //! `--pricing` picks the simplex pricing rule (`devex` default; `dantzig`
 //! for A/B comparison), `--cuts` toggles root-node cut separation
-//! (`root` default), `--reduce` toggles the LP reduction presolve
-//! (row/column elimination with a basis-lifting postsolve; `on` default),
-//! and `--scaling` toggles geometric-mean power-of-two row equilibration
-//! (`on` default). All are latency knobs: every setting proves the same
-//! certified optima, so none of them enters the solve fingerprint.
+//! (`root` default), and `--scaling` toggles geometric-mean power-of-two
+//! row equilibration (`on` default). All are latency knobs: every setting
+//! proves the same certified optima, so none of them enters the solve
+//! fingerprint. A malformed or missing value for any of the optimizer
+//! flags is an error naming the flag and the value.
 //!
 //! `--verify` selects the equivalence gate every emitted netlist must
 //! pass: `fast` (default) proves small widths exhaustively and samples
@@ -95,52 +98,65 @@ type CliResult = Result<(), Box<dyn std::error::Error>>;
 /// Parses shared optimizer flags: `--budget-ms N` bounds the whole
 /// pipeline with a wall-clock deadline (expiry degrades the optimizer
 /// down its fallback ladder instead of failing the command),
-/// `--solver-jobs N` runs each branch-and-bound solve with `N` worker
-/// threads (1, the default, is the sequential solver),
-/// `--pricing {dantzig,devex}` picks the simplex pricing rule,
-/// `--cuts {off,root}` toggles root cut separation, and
-/// `--scaling {on,off}` / `--reduce {on,off}` toggle LP equilibration
-/// scaling and the reduction presolve. All are latency knobs: every
-/// setting proves the same certified optima.
-fn cfg_from_args(args: &[String]) -> GomilConfig {
+/// `--solver-jobs N` runs each branch-and-bound solve with a pool of `N`
+/// workers (1, the default, is a pool of one on the calling thread; 0
+/// means 1), `--pricing {dantzig,devex}` picks the simplex pricing rule,
+/// `--cuts {off,root}` toggles root cut separation, `--scaling {on,off}`
+/// toggles LP equilibration scaling, and `--verify {off,fast,strict}`
+/// selects the equivalence gate (`--no-verify` is an alias for
+/// `--verify off`; an explicit `--verify MODE` wins). The solver flags
+/// are latency knobs: every setting proves the same certified optima.
+///
+/// # Errors
+///
+/// A flag given without a value, or with a value it does not accept,
+/// names the flag and the value instead of falling back to the default.
+fn cfg_from_args(args: &[String]) -> Result<GomilConfig, String> {
     let mut cfg = GomilConfig::default();
-    if let Some(ms) = args
-        .iter()
-        .position(|a| a == "--budget-ms")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-    {
+    if let Some(ms) = parse_flag(args, "--budget-ms", |s| s.parse::<u64>().ok())? {
         cfg.pipeline_budget = Some(std::time::Duration::from_millis(ms));
     }
-    if let Some(jobs) = args
-        .iter()
-        .position(|a| a == "--solver-jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<usize>().ok())
-    {
+    if let Some(jobs) = parse_flag(args, "--solver-jobs", |s| s.parse::<usize>().ok())? {
         cfg.solver_jobs = jobs.max(1);
     }
-    if let Some(p) = flag_value(args, "--pricing").and_then(|s| gomil_ilp::Pricing::from_name(s)) {
+    if let Some(p) = parse_flag(args, "--pricing", gomil_ilp::Pricing::from_name)? {
         cfg.pricing = p;
     }
-    if let Some(c) = flag_value(args, "--cuts").and_then(|s| gomil_ilp::CutMode::from_name(s)) {
+    if let Some(c) = parse_flag(args, "--cuts", gomil_ilp::CutMode::from_name)? {
         cfg.cuts = c;
     }
-    if let Some(s) = flag_value(args, "--scaling").and_then(|v| on_off(v)) {
+    if let Some(s) = parse_flag(args, "--scaling", on_off)? {
         cfg.scaling = s;
     }
-    if let Some(r) = flag_value(args, "--reduce").and_then(|v| on_off(v)) {
-        cfg.reduce = r;
-    }
-    // `--no-verify` predates the tiered gate and is kept as an alias for
-    // `--verify off`; an explicit `--verify MODE` wins.
     if args.iter().any(|a| a == "--no-verify") {
         cfg.verify = VerifyMode::Off;
     }
-    if let Some(mode) = flag_value(args, "--verify").and_then(|s| VerifyMode::from_name(s)) {
+    if let Some(mode) = parse_flag(args, "--verify", VerifyMode::from_name)? {
         cfg.verify = mode;
     }
-    cfg
+    Ok(cfg)
+}
+
+/// The value of flag `name` parsed by `parse`; `Ok(None)` when the flag is
+/// absent.
+///
+/// # Errors
+///
+/// The flag is present but its value is missing or `parse` rejects it.
+fn parse_flag<T>(
+    args: &[String],
+    name: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(None);
+    };
+    let value = args
+        .get(i + 1)
+        .ok_or_else(|| format!("{name} needs a value"))?;
+    parse(value)
+        .map(Some)
+        .ok_or_else(|| format!("invalid value {value:?} for {name}"))
 }
 
 /// Parses an `on`/`off` flag value (`true`/`false` accepted as aliases).
@@ -171,7 +187,7 @@ fn cmd_gen(args: &[String]) -> CliResult {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1));
 
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     // The equivalence gate runs inside build_gomil: a Failed netlist is a
     // hard error before this point, so reaching here means the verdict is
     // at worst Skipped (when the gate is off).
@@ -342,7 +358,7 @@ fn cmd_batch(args: &[String]) -> CliResult {
         .and_then(|s| s.parse::<usize>().ok())
         .unwrap_or(2)
         .max(1);
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
 
     let ppgs: &[PpgKind] = if all_ppg {
@@ -405,7 +421,7 @@ fn cmd_serve_http(args: &[String], addr: &str) -> CliResult {
         })?;
         httpd.default_deadline = Some(deadline);
     }
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = std::sync::Arc::new(attach_mart(
         serve_service(&cfg, serve_config_from_args(args))?,
         args,
@@ -448,7 +464,7 @@ fn cmd_serve(args: &[String]) -> CliResult {
     if requests.is_empty() {
         return Err(format!("{path}: no requests (lines are `<m> [ppg]`)").into());
     }
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     let svc = attach_mart(serve_service(&cfg, serve_config_from_args(args))?, args)?;
     let results = svc.run_batch(&requests);
     print_results(&requests, &results);
@@ -513,7 +529,7 @@ fn cmd_mart_build(args: &[String]) -> CliResult {
         .collect::<Result<_, _>>()
         .map_err(|e| format!("bad --ms list: {e}"))?;
     let refresh = args.iter().any(|a| a == "--refresh");
-    let cfg = cfg_from_args(args);
+    let cfg = cfg_from_args(args)?;
     // The mart is its own persistence: the builder service runs without a
     // cache file so a stale TSV cannot leak into the store.
     let mut sc = serve_config_from_args(args);
@@ -690,4 +706,97 @@ fn cmd_info() -> CliResult {
         cfg.cuts.name()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::cfg_from_args;
+    use gomil_ilp::{CutMode, Pricing};
+    use gomil_netlist::VerifyMode;
+    use std::time::Duration;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `cfg_from_args` on `gen 8 FLAG VALUE`.
+    fn parse(flag: &str, value: &str) -> Result<gomil::GomilConfig, String> {
+        cfg_from_args(&args(&["8", flag, value]))
+    }
+
+    /// A rejected value yields an error naming both the flag and the value.
+    fn assert_rejected(flag: &str, value: &str) {
+        let err = parse(flag, value).expect_err("malformed value must be rejected");
+        assert!(
+            err.contains(flag) && err.contains(value),
+            "{flag} {value}: {err}"
+        );
+    }
+
+    #[test]
+    fn no_flags_keep_the_defaults() {
+        let cfg = cfg_from_args(&args(&["8"])).unwrap();
+        assert_eq!(cfg.pipeline_budget, None);
+        assert_eq!(cfg.solver_jobs, 1);
+        assert_eq!(cfg.pricing, Pricing::default());
+        assert_eq!(cfg.cuts, CutMode::default());
+        assert!(cfg.scaling);
+    }
+
+    #[test]
+    fn budget_ms() {
+        let cfg = parse("--budget-ms", "250").unwrap();
+        assert_eq!(cfg.pipeline_budget, Some(Duration::from_millis(250)));
+        assert_rejected("--budget-ms", "abc");
+        assert_rejected("--budget-ms", "-5");
+    }
+
+    #[test]
+    fn solver_jobs() {
+        assert_eq!(parse("--solver-jobs", "3").unwrap().solver_jobs, 3);
+        assert_eq!(parse("--solver-jobs", "0").unwrap().solver_jobs, 1);
+        assert_rejected("--solver-jobs", "x");
+    }
+
+    #[test]
+    fn pricing() {
+        assert_eq!(
+            parse("--pricing", "dantzig").unwrap().pricing,
+            Pricing::Dantzig
+        );
+        assert_eq!(parse("--pricing", "devex").unwrap().pricing, Pricing::Devex);
+        assert_rejected("--pricing", "x");
+    }
+
+    #[test]
+    fn cuts() {
+        assert_eq!(parse("--cuts", "off").unwrap().cuts, CutMode::Off);
+        assert_eq!(parse("--cuts", "root").unwrap().cuts, CutMode::Root);
+        assert_rejected("--cuts", "bogus");
+    }
+
+    #[test]
+    fn scaling() {
+        assert!(!parse("--scaling", "off").unwrap().scaling);
+        assert!(parse("--scaling", "on").unwrap().scaling);
+        assert_rejected("--scaling", "maybe");
+    }
+
+    #[test]
+    fn verify() {
+        assert_eq!(
+            parse("--verify", "strict").unwrap().verify,
+            VerifyMode::Strict
+        );
+        assert_eq!(parse("--verify", "off").unwrap().verify, VerifyMode::Off);
+        assert_rejected("--verify", "x");
+        let alias = cfg_from_args(&args(&["8", "--no-verify"])).unwrap();
+        assert_eq!(alias.verify, VerifyMode::Off);
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_rejected() {
+        let err = cfg_from_args(&args(&["8", "--cuts"])).unwrap_err();
+        assert!(err.contains("--cuts"), "{err}");
+    }
 }

@@ -41,12 +41,12 @@ pub struct GomilConfig {
     /// Eq. 14 assumes all CPA inputs arrive at time 0). Costs one extra
     /// `O(n³)` DP; set to `false` for the paper-faithful structure.
     pub arrival_aware: bool,
-    /// Worker threads for each branch-and-bound solve (CLI
-    /// `--solver-jobs`). `1` (the default) is the sequential legacy
-    /// solver; larger values run the parallel node search. Like the
-    /// budgets this is a latency knob, not a result knob — parallel search
-    /// proves the same optima — so it is excluded from
-    /// [`solve_fingerprint`](Self::solve_fingerprint).
+    /// Workers in each branch-and-bound solve's node pool (CLI
+    /// `--solver-jobs`). `1` (the default) is a pool of one on the calling
+    /// thread, whose search is deterministic; larger values add helper
+    /// threads. Like the budgets this is a latency knob, not a result
+    /// knob — every pool size proves the same optima — so it is excluded
+    /// from [`solve_fingerprint`](Self::solve_fingerprint).
     pub solver_jobs: usize,
     /// Simplex pricing rule for every branch-and-bound LP (CLI
     /// `--pricing {dantzig,devex}`). Like `solver_jobs` this is a latency
@@ -64,11 +64,6 @@ pub struct GomilConfig {
     /// objectives — so like `pricing` it is a latency knob excluded from
     /// [`solve_fingerprint`](Self::solve_fingerprint).
     pub scaling: bool,
-    /// LP reduction presolve (CLI `--reduce {on,off}`): empty/singleton/
-    /// duplicate-row elimination and fixed-column substitution with full
-    /// postsolve, applied per LP relaxation. Also an exact reformulation
-    /// and hence a latency knob outside the fingerprint.
-    pub reduce: bool,
     /// Equivalence-verification effort (CLI `--verify {off,fast,strict}`).
     /// Every emitted design carries the resulting
     /// [`EquivVerdict`](gomil_netlist::EquivVerdict); a `Failed` verdict
@@ -96,7 +91,6 @@ impl Default for GomilConfig {
             pricing: Pricing::default(),
             cuts: CutMode::default(),
             scaling: true,
-            reduce: true,
             verify: VerifyMode::Fast,
         }
     }
@@ -191,7 +185,6 @@ mod tests {
             pricing: Pricing::Dantzig,
             cuts: CutMode::Off,
             scaling: false,
-            reduce: false,
             ..GomilConfig::default()
         };
         assert_eq!(base.solve_fingerprint(), budgeted.solve_fingerprint());

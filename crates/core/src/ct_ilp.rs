@@ -214,7 +214,6 @@ impl CtIlp {
             pricing: cfg.pricing,
             cuts: cfg.cuts,
             scaling: cfg.scaling,
-            reduce: cfg.reduce,
             ..BranchConfig::default()
         };
         let mut sol = self.model.solve_with(&branch)?;

@@ -268,7 +268,8 @@ pub struct SolveStats {
     /// Worker threads that explored the branch-and-bound tree.
     pub jobs: usize,
     /// Per-phase root breakdown: model build, presolve, first
-    /// factorization, root LP, and cut separation.
+    /// factorization, the first root LP solve, and the cut loop
+    /// (separation plus re-solves).
     pub root: RootProfile,
 }
 
@@ -363,7 +364,7 @@ impl fmt::Display for SolveStats {
         write!(
             f,
             "; root [build {}µs, presolve {}µs, factor {}µs, lp {}µs/{} iters, \
-             {} cuts in {} rounds ({}µs)]",
+             {} cuts in {} rounds ({}µs/{} iters)]",
             r.build_us,
             r.presolve_us,
             r.first_factor_us,
@@ -372,6 +373,7 @@ impl fmt::Display for SolveStats {
             r.cuts_added,
             r.cut_rounds,
             r.cut_us,
+            r.cut_lp_iters,
         )
     }
 }
@@ -700,7 +702,6 @@ pub fn joint_ilp_hinted(
         pricing: cfg.pricing,
         cuts: cfg.cuts,
         scaling: cfg.scaling,
-        reduce: cfg.reduce,
         ..BranchConfig::default()
     };
     let mut sol = jm.model.solve_with(&branch)?;

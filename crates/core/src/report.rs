@@ -71,7 +71,7 @@ pub fn solve_summary(sol: &GlobalSolution) -> String {
         let r = &stats.root;
         s.push_str(&format!(
             "root:     build {}µs, presolve {}µs, first factor {}µs, \
-             root LP {}µs ({} iters), {} cuts in {} rounds ({}µs)\n",
+             root LP {}µs ({} iters), {} cuts in {} rounds ({}µs, {} iters)\n",
             r.build_us,
             r.presolve_us,
             r.first_factor_us,
@@ -80,6 +80,7 @@ pub fn solve_summary(sol: &GlobalSolution) -> String {
             r.cuts_added,
             r.cut_rounds,
             r.cut_us,
+            r.cut_lp_iters,
         ));
     }
     if !sol.degradation.attempts.is_empty() {

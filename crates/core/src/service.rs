@@ -58,7 +58,8 @@ fn outcome_from(design: &GomilDesign, cfg: &GomilConfig) -> ServeOutcome {
         None => (0, 0, 0),
     };
     // Root-stage breakdown: total wall-clock from model build through the
-    // cut loop (first factorization is inside the root LP time).
+    // cut loop (first factorization is inside the root LP time); the
+    // iteration count is the first root LP solve's alone.
     let (root_us, root_lp_iters, cuts_added) = match &sol.solver_stats {
         Some(stats) => {
             let r = &stats.root;

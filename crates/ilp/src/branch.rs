@@ -4,10 +4,12 @@
 //!
 //! * presolve (bound tightening) once up front;
 //! * standardize to a slack-equality LP form, *compressing
-//!   out* variables fixed by presolve so the dense tableau stays small;
-//! * best-bound node selection with a last-in dive bias, deltas stored in a
-//!   parent-pointer arena;
-//! * branching on the most fractional integer variable;
+//!   out* variables fixed by presolve so the LP stays small;
+//! * solve the root LP once and, by default, tighten it with rounds of
+//!   Gomory and cover cuts;
+//! * best-bound node selection with a dive bias on ties, each node
+//!   carrying its branching deltas as a parent-pointer chain;
+//! * pseudocost branching on the fractional integer variables;
 //! * incumbents from (a) a caller-supplied warm start, (b) LP solutions that
 //!   happen to be integral, and (c) a round-and-repair heuristic that fixes
 //!   the integers to rounded values and re-solves the LP for the continuous
@@ -16,12 +18,11 @@
 //! The search honours wall-clock and node limits and reports the best proven
 //! bound, mirroring how the paper runs Gurobi under a runtime cap.
 //!
-//! With [`BranchConfig::jobs`] > 1 the node loop is handed to the
-//! [parallel engine](crate::parallel): a fixed worker pool drains the same
-//! best-first queue under a mutex, sharing one atomic incumbent so any
-//! worker's improvement immediately tightens pruning everywhere. `jobs = 1`
-//! (the default) runs the sequential loop below, byte-for-byte the legacy
-//! behavior.
+//! This module owns everything up to and after the node loop: the
+//! configuration, presolve, standardization, the root stage and the final
+//! [`Solution`]. The node loop itself is the [worker pool](crate::parallel)
+//! with [`BranchConfig::jobs`] workers; `jobs = 1` (the default) is a pool
+//! of one running on the calling thread.
 //!
 //! Node bounds are NaN-checked on admission ([`checked_bound`]): the node
 //! comparator uses [`f64::total_cmp`], which is a total order even over NaN,
@@ -31,20 +32,16 @@
 use crate::certify::certify_values;
 use crate::expr::Var;
 use crate::model::{Cmp, Model, Sense, VarKind};
-use crate::presolve::{
-    presolve_with_opts, reduce_lp, LpReduction, PresolveOpts, ReductionStats, StrengthenedRow,
-};
-use crate::propagate::propagate_bounds;
+use crate::presolve::{presolve_with_opts, PresolveOpts, StrengthenedRow};
 use crate::simplex::{
     cover_cuts, gomory_cuts, resolve_lp, solve_lp_from, with_cut_rows, Basis, KernelStats, LpError,
-    LpOutcome, LpProblem, LpResult, Pricing, SimplexOpts, FEAS_TOL,
+    LpOutcome, LpProblem, Pricing, SimplexOpts, FEAS_TOL,
 };
 use crate::solution::{
     IncumbentEvent, IncumbentSource, RootProfile, Solution, SolveError, SolveStatus,
     WarmStartStatus,
 };
 use gomil_budget::Budget;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -120,10 +117,10 @@ pub struct BranchConfig {
     /// a [`SolveError::Numerical`] failure once with `force_bland` and a
     /// relaxed `tol_scale` before giving up.
     pub numerical_retry: bool,
-    /// Worker threads exploring the branch-and-bound tree. `0` and `1`
-    /// both mean sequential search (the legacy single-threaded loop);
-    /// larger values run the [parallel engine](crate::parallel). Parallel
-    /// search proves the same optima but may return a *different* optimal
+    /// Workers in the branch-and-bound [pool](crate::parallel). `0` and
+    /// `1` both mean a pool of one on the calling thread, whose search is
+    /// deterministic. Larger values spawn `jobs − 1` helper threads; they
+    /// prove the same optima but may return a *different* optimal
     /// assignment when several exist, and node/iteration counts become
     /// timing-dependent.
     pub jobs: usize,
@@ -149,10 +146,6 @@ pub struct BranchConfig {
     /// power-of-two factors, no unscaling needed). Off on the
     /// numerical-retry path so retries see the untouched coefficients.
     pub scaling: bool,
-    /// LP reduction presolve (empty/singleton/redundant/duplicate row and
-    /// fixed/empty column elimination with full basis postsolve) before
-    /// every from-scratch LP solve. Off on the numerical-retry path.
-    pub reduce: bool,
 }
 
 impl Default for BranchConfig {
@@ -175,7 +168,6 @@ impl Default for BranchConfig {
             cuts: CutMode::default(),
             probing: true,
             scaling: true,
-            reduce: true,
         }
     }
 }
@@ -341,24 +333,9 @@ impl BoundDelta {
     }
 }
 
-struct NodeArena {
-    /// (parent index or usize::MAX, delta)
-    nodes: Vec<(usize, BoundDelta)>,
-}
-
-impl NodeArena {
-    fn apply(&self, mut idx: usize, lb: &mut [f64], ub: &mut [f64]) {
-        while idx != usize::MAX {
-            let (parent, d) = self.nodes[idx];
-            d.tighten(lb, ub);
-            idx = parent;
-        }
-    }
-}
-
 /// Rejects a NaN node bound before it can reach the open-node heap.
 ///
-/// `OpenNode`'s comparator is [`f64::total_cmp`], so a NaN no longer
+/// The open-node comparator is [`f64::total_cmp`], so a NaN no longer
 /// *corrupts* heap order — but a node whose LP relaxation evaluated to NaN
 /// has no meaningful place in a best-first search either, so the solve is
 /// aborted as a numerical failure (which the
@@ -371,44 +348,6 @@ pub(crate) fn checked_bound(bound: f64) -> Result<f64, SolveError> {
         ));
     }
     Ok(bound)
-}
-
-struct OpenNode {
-    bound: f64,
-    depth: u32,
-    arena_idx: usize,
-    /// The branching that created this node, for pseudocost updates:
-    /// `(column, went_up, parent LP objective, fractional distance)`.
-    branch: Option<(usize, bool, f64, f64)>,
-    /// The parent's optimal basis, shared by both children: the dual
-    /// simplex warm-restarts from it instead of re-solving from scratch.
-    basis: Option<Arc<Basis>>,
-}
-
-impl PartialEq for OpenNode {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-impl Eq for OpenNode {}
-impl Ord for OpenNode {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; we want the smallest bound first, with a
-        // preference for deeper nodes (diving) on ties. `total_cmp` keeps
-        // this a lawful total order even for NaN bounds (which
-        // `checked_bound` rejects upstream anyway): NaN sorts after every
-        // real bound instead of silently comparing "equal" to everything
-        // and corrupting the heap invariant.
-        other
-            .bound
-            .total_cmp(&self.bound)
-            .then(self.depth.cmp(&other.depth))
-    }
-}
-impl PartialOrd for OpenNode {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
 }
 
 /// Expands a compressed LP solution back to full model-variable space.
@@ -505,7 +444,7 @@ impl PcTables {
 /// objective, and provenance.
 pub(crate) type Incumbent = (Vec<f64>, f64, IncumbentSource);
 
-/// Everything both search engines need, immutable for the whole solve.
+/// Everything the search needs, immutable for the whole solve.
 pub(crate) struct SearchCtx<'a> {
     pub(crate) model: &'a Model,
     pub(crate) config: &'a BranchConfig,
@@ -520,14 +459,14 @@ pub(crate) struct SearchCtx<'a> {
     pub(crate) obj_offset: f64,
     pub(crate) start: Instant,
     /// Optimal basis of the (cut-augmented) root LP, solved once during
-    /// [`prepare`]; both engines seed their root node with it so the first
+    /// [`prepare`]; the search seeds its root node with it so the first
     /// node is a near-free dual warm restart instead of a from-scratch
     /// solve.
     pub(crate) root_basis: Option<Arc<Basis>>,
     /// Per-phase breakdown of the work done in [`prepare`].
     pub(crate) root_profile: RootProfile,
-    /// Kernel hypersparsity counters of the root stage (the engines add
-    /// their own node-loop counters on top in [`finish`]).
+    /// Kernel hypersparsity counters of the root stage (the node loop's
+    /// counters are added on top in [`finish`]).
     pub(crate) root_kernel: KernelStats,
 }
 
@@ -566,7 +505,7 @@ impl SearchCtx<'_> {
     }
 }
 
-/// Search telemetry counters, shared by both engines.
+/// Search telemetry counters of the node loop.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SearchCounters {
     /// Nodes popped and processed (LP relaxation attempted).
@@ -590,7 +529,7 @@ pub(crate) struct SearchCounters {
     pub(crate) kernel: KernelStats,
 }
 
-/// What a search engine hands back for final assembly.
+/// What the search hands back for final assembly.
 pub(crate) struct SearchOutcome {
     pub(crate) incumbent: Option<Incumbent>,
     /// Minimize-space timeline; flipped to caller space by [`finish`].
@@ -601,7 +540,7 @@ pub(crate) struct SearchOutcome {
     pub(crate) saw_unbounded_root: bool,
 }
 
-/// The model/config digest both engines start from.
+/// The model/config digest the search starts from.
 pub(crate) struct Prepared<'a> {
     pub(crate) ctx: SearchCtx<'a>,
     pub(crate) incumbent: Option<Incumbent>,
@@ -665,13 +604,12 @@ fn prepare<'a>(model: &'a Model, config: &'a BranchConfig) -> Result<Prepared<'a
     let obj_offset = std.obj_offset - model.objective.constant() + signed_const;
 
     // Solve the root LP once, run the cut loop on it, and hand the final
-    // basis to the engines so their root node is a near-free warm restart.
+    // basis to the search so its root node is a near-free warm restart.
     let mut root_kernel = KernelStats::default();
     let root_basis = root_stage(
         &mut std,
         &lp_opts,
         config.cuts,
-        config.reduce,
         &mut profile,
         &mut root_kernel,
     )?;
@@ -739,75 +677,18 @@ fn prepare<'a>(model: &'a Model, config: &'a BranchConfig) -> Result<Prepared<'a
     })
 }
 
-/// `solve_lp_from` behind the LP reduction presolve: shrink the problem
-/// (empty/redundant/singleton/duplicate rows, fixed/empty columns), solve
-/// the reduction, then lift the solution *and basis* back to the full
-/// space so certification, warm restarts and cut separation all keep
-/// operating on the original rows. With `reduce` off — or when reduction
-/// removes nothing — this is exactly `solve_lp_from`. `stats_out`, when
-/// given, receives the reduction counters of this call.
-pub(crate) fn solve_lp_reduced(
-    p: &LpProblem,
-    lb: &[f64],
-    ub: &[f64],
-    opts: &SimplexOpts,
-    reduce: bool,
-    stats_out: Option<&mut ReductionStats>,
-) -> Result<LpResult, LpError> {
-    if !reduce {
-        return solve_lp_from(p, lb, ub, opts);
-    }
-    let red = match reduce_lp(p, lb, ub) {
-        LpReduction::Infeasible => {
-            return Ok(LpResult {
-                outcome: LpOutcome::Infeasible,
-                iterations: 0,
-                refactors: 0,
-                first_factor_us: 0,
-                kernel: KernelStats::default(),
-                basis: None,
-            })
-        }
-        LpReduction::Reduced(r) => r,
-    };
-    if let Some(s) = stats_out {
-        *s = red.stats;
-    }
-    if red.is_noop() {
-        return solve_lp_from(p, lb, ub, opts);
-    }
-    let mut res = solve_lp_from(&red.lp, &red.lb, &red.ub, opts)?;
-    res.outcome = match res.outcome {
-        LpOutcome::Optimal { x, obj } => {
-            let (xf, bf) = red.postsolve(lb, ub, &x, res.basis.as_ref());
-            res.basis = bf;
-            LpOutcome::Optimal {
-                x: xf,
-                obj: obj + red.obj_offset,
-            }
-        }
-        other => {
-            // Infeasible/unbounded transfer verbatim (the reduction is an
-            // exact reformulation), but a reduced-space basis is useless.
-            res.basis = None;
-            other
-        }
-    };
-    Ok(res)
-}
-
 /// Bounded number of root cut-separation rounds.
 const MAX_CUT_ROUNDS: usize = 8;
 /// Cuts of each family separated per round.
 const MAX_CUTS_PER_ROUND: usize = 16;
 
-/// Solves the root LP and, when enabled, runs the root cut loop: separate
-/// Gomory + cover cuts from the optimal basis, append them (each with its
-/// own slack column), and reoptimize with the dual simplex from the
-/// extended basis. Mutates `std.lp` — the engines then search the
-/// cut-augmented LP — and returns the final root basis.
+/// Solves the root LP and, when enabled, runs the root cut loop
+/// ([`cut_rounds`]). Mutates `std.lp` — the search then runs on the
+/// cut-augmented LP — and returns the final root basis. The first solve is
+/// charged to `root_lp_us`/`root_lp_iters`; the cut loop, separation and
+/// re-solves alike, to `cut_us`/`cut_lp_iters`.
 ///
-/// Root conditions the engines already handle (budget exhausted,
+/// Root conditions the search already handles (budget exhausted,
 /// infeasible or unbounded relaxation) return `Ok(None)` so the node loop
 /// rediscovers them through its normal reporting paths; only numerical
 /// breakdown is an error here.
@@ -815,59 +696,52 @@ fn root_stage(
     std: &mut Standardized,
     lp_opts: &SimplexOpts,
     cuts: CutMode,
-    reduce: bool,
     profile: &mut RootProfile,
     kernel: &mut KernelStats,
 ) -> Result<Option<Arc<Basis>>, SolveError> {
-    let t0 = Instant::now();
-    let result = root_stage_inner(std, lp_opts, cuts, reduce, profile, kernel);
-    profile.root_lp_us = (t0.elapsed().as_micros() as u64).saturating_sub(profile.cut_us);
-    result
-}
-
-fn root_stage_inner(
-    std: &mut Standardized,
-    lp_opts: &SimplexOpts,
-    cuts: CutMode,
-    reduce: bool,
-    profile: &mut RootProfile,
-    kernel: &mut KernelStats,
-) -> Result<Option<Arc<Basis>>, SolveError> {
-    let mut red_stats = ReductionStats::default();
-    let res = match solve_lp_reduced(
-        &std.lp,
-        &std.lp.lb,
-        &std.lp.ub,
-        lp_opts,
-        reduce,
-        Some(&mut red_stats),
-    ) {
+    let t_root = Instant::now();
+    let first = solve_lp_from(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts);
+    profile.root_lp_us = t_root.elapsed().as_micros() as u64;
+    let res = match first {
         Ok(r) => r,
         Err(LpError::Budget { iterations, .. }) => {
-            profile.root_lp_iters += iterations;
+            profile.root_lp_iters = iterations;
             return Ok(None);
         }
         Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
     };
-    profile.reduce_rows = red_stats.rows_dropped;
-    profile.reduce_cols = red_stats.cols_dropped;
-    profile.root_lp_iters += res.iterations;
+    profile.root_lp_iters = res.iterations;
     profile.first_factor_us = res.first_factor_us;
     kernel.absorb(&res.kernel);
-    let (mut x, mut obj) = match res.outcome {
+    let optimum = match res.outcome {
         LpOutcome::Optimal { x, obj } => (x, obj),
-        // Infeasible / unbounded root: let the engines rediscover it.
+        // Infeasible / unbounded root: let the search rediscover it.
         _ => return Ok(None),
     };
-    let mut basis = match res.basis {
-        Some(b) => b,
-        None => return Ok(None),
+    let Some(basis) = res.basis else {
+        return Ok(None);
     };
-
     if cuts != CutMode::Root {
         return Ok(Some(Arc::new(basis)));
     }
+    let t_cuts = Instant::now();
+    let result = cut_rounds(std, lp_opts, optimum, basis, profile, kernel);
+    profile.cut_us = t_cuts.elapsed().as_micros() as u64;
+    result
+}
 
+/// The root cut loop: separate Gomory + cover cuts from the optimal basis,
+/// append them (each with its own slack column), and reoptimize with the
+/// dual simplex from the extended basis. `(x, obj)` and `basis` are the
+/// root LP optimum the first round separates from.
+fn cut_rounds(
+    std: &mut Standardized,
+    lp_opts: &SimplexOpts,
+    (mut x, mut obj): (Vec<f64>, f64),
+    mut basis: Basis,
+    profile: &mut RootProfile,
+    kernel: &mut KernelStats,
+) -> Result<Option<Arc<Basis>>, SolveError> {
     let mut stall = 0u32;
     for _round in 0..MAX_CUT_ROUNDS {
         if lp_opts.budget.exhausted() {
@@ -881,7 +755,6 @@ fn root_stage_inner(
         if !fractional {
             break;
         }
-        let t_cut = Instant::now();
         let mut new_cuts = gomory_cuts(
             &std.lp,
             &std.lp.lb,
@@ -898,7 +771,6 @@ fn root_stage_inner(
             &std.col_is_int,
             MAX_CUTS_PER_ROUND,
         ));
-        profile.cut_us += t_cut.elapsed().as_micros() as u64;
         if new_cuts.is_empty() {
             break;
         }
@@ -911,30 +783,25 @@ fn root_stage_inner(
         // Reoptimize from the extended basis (dual simplex), falling back
         // to a from-scratch solve when the restart goes stale.
         let resolved = match resolve_lp(&std.lp, &std.lp.lb, &std.lp.ub, &basis, lp_opts) {
-            Ok(Some(r)) => r,
-            Ok(None) => {
-                match solve_lp_reduced(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts, reduce, None) {
-                    Ok(r) => r,
-                    Err(LpError::Budget { iterations, .. }) => {
-                        profile.root_lp_iters += iterations;
-                        break;
-                    }
-                    Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-                }
-            }
+            Ok(Some(r)) => Ok(r),
+            Ok(None) => solve_lp_from(&std.lp, &std.lp.lb, &std.lp.ub, lp_opts),
+            Err(e) => Err(e),
+        };
+        let resolved = match resolved {
+            Ok(r) => r,
             Err(LpError::Budget { iterations, .. }) => {
-                profile.root_lp_iters += iterations;
+                profile.cut_lp_iters += iterations;
                 break;
             }
             Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
         };
-        profile.root_lp_iters += resolved.iterations;
+        profile.cut_lp_iters += resolved.iterations;
         kernel.absorb(&resolved.kernel);
         let (nx, nobj) = match resolved.outcome {
             LpOutcome::Optimal { x, obj } => (x, obj),
             // Cuts hold for every integer point, so a cut-infeasible
             // relaxation means the integer problem is infeasible; hand the
-            // augmented LP back basis-less and let the engines report it.
+            // augmented LP back basis-less and let the search report it.
             LpOutcome::Infeasible | LpOutcome::Unbounded => return Ok(None),
         };
         let Some(nb) = resolved.basis else { break };
@@ -974,9 +841,10 @@ pub(crate) fn finish(
         })
         .collect();
     let jobs = ctx.config.jobs.max(1);
-    // Root-stage LP iterations happened before the engines took over, so
-    // the node-loop counters do not include them.
-    let lp_iterations = out.counters.lp_iters + ctx.root_profile.root_lp_iters;
+    // Root-stage LP iterations happened before the node loop, so its
+    // counters do not include them.
+    let root = &ctx.root_profile;
+    let lp_iterations = out.counters.lp_iters + root.root_lp_iters + root.cut_lp_iters;
     let mut kernel = ctx.root_kernel;
     kernel.absorb(&out.counters.kernel);
     match (out.incumbent, out.limit_hit) {
@@ -1052,235 +920,8 @@ pub fn solve(model: &Model, config: &BranchConfig) -> Result<Solution, SolveErro
         timeline,
         warm_start,
     } = prep;
-    let out = if config.jobs > 1 {
-        crate::parallel::search(&ctx, incumbent, timeline)?
-    } else {
-        sequential(&ctx, incumbent, timeline)?
-    };
+    let out = crate::parallel::search(&ctx, incumbent, timeline)?;
     finish(&ctx, warm_start, out)
-}
-
-/// The legacy single-threaded best-first loop.
-fn sequential(
-    ctx: &SearchCtx<'_>,
-    mut incumbent: Option<Incumbent>,
-    mut timeline: Vec<IncumbentEvent>,
-) -> Result<SearchOutcome, SolveError> {
-    let config = ctx.config;
-    let std = &ctx.std;
-    let mut counters = SearchCounters::default();
-
-    // Root node.
-    let arena = &mut NodeArena { nodes: Vec::new() };
-    let mut heap = BinaryHeap::new();
-    heap.push(OpenNode {
-        bound: f64::NEG_INFINITY,
-        depth: 0,
-        arena_idx: usize::MAX,
-        branch: None,
-        // The root LP was already solved (and cut) in `prepare`; restarting
-        // from its basis makes the first node a handful of dual pivots.
-        basis: ctx.root_basis.clone(),
-    });
-    let mut pc = PcTables::new(std.lp.num_structural);
-
-    let mut best_open_bound = f64::NEG_INFINITY;
-    let mut limit_hit: Option<String> = None;
-    let mut saw_unbounded_root = false;
-
-    let mut lb_buf = vec![0.0; std.lp.num_cols];
-    let mut ub_buf = vec![0.0; std.lp.num_cols];
-
-    while let Some(node) = heap.pop() {
-        // Prune against incumbent.
-        if let Some((_, best, _)) = &incumbent {
-            if node.bound >= best - config.gap_tol * best.abs().max(1.0) {
-                counters.pruned += 1;
-                continue;
-            }
-        }
-        if let Err(reason) = ctx.budget.check() {
-            limit_hit = Some(reason.to_string());
-            best_open_bound = node.bound;
-            break;
-        }
-        if counters.explored >= config.node_limit {
-            limit_hit = Some(format!("node limit {}", config.node_limit));
-            best_open_bound = node.bound;
-            break;
-        }
-        counters.explored += 1;
-
-        // Materialize bounds for this node, then propagate them through
-        // the rows (often fixes chains or proves the node empty cheaply).
-        lb_buf.copy_from_slice(&std.lp.lb);
-        ub_buf.copy_from_slice(&std.lp.ub);
-        arena.apply(node.arena_idx, &mut lb_buf, &mut ub_buf);
-        if lb_buf
-            .iter()
-            .zip(ub_buf.iter())
-            .any(|(l, u)| *l > u + FEAS_TOL)
-        {
-            counters.pruned += 1;
-            continue; // branching made it empty
-        }
-        if !propagate_bounds(&std.lp, &mut lb_buf, &mut ub_buf, &std.col_is_int, 3) {
-            counters.pruned += 1;
-            continue; // propagation proved infeasibility
-        }
-
-        // Warm restart from the parent's basis when the node carries one,
-        // falling back to the from-scratch two-phase primal on a miss.
-        let mut res: Option<LpResult> = None;
-        if ctx.config.reuse_basis {
-            if let Some(basis) = node.basis.as_deref() {
-                counters.warm_attempts += 1;
-                match resolve_lp(&std.lp, &lb_buf, &ub_buf, basis, &ctx.lp_opts) {
-                    Ok(Some(r)) => {
-                        counters.warm_hits += 1;
-                        res = Some(r);
-                    }
-                    Ok(None) => {} // stale basis: primal fallback below
-                    Err(LpError::Budget { reason, iterations }) => {
-                        counters.lp_iters += iterations;
-                        limit_hit = Some(reason.to_string());
-                        best_open_bound = node.bound;
-                        break;
-                    }
-                    Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-                }
-            }
-        }
-        let res = match res {
-            Some(r) => r,
-            None => match solve_lp_reduced(
-                &std.lp,
-                &lb_buf,
-                &ub_buf,
-                &ctx.lp_opts,
-                ctx.config.reduce,
-                None,
-            ) {
-                Ok(r) => r,
-                Err(LpError::Budget { reason, iterations }) => {
-                    // Budget ran out inside the pivot loop: stop gracefully
-                    // with the incumbent found so far, like any other limit.
-                    counters.lp_iters += iterations;
-                    limit_hit = Some(reason.to_string());
-                    best_open_bound = node.bound;
-                    break;
-                }
-                Err(LpError::Numerical(msg)) => return Err(SolveError::Numerical(msg)),
-            },
-        };
-        counters.lp_iters += res.iterations;
-        counters.refactors += res.refactors;
-        counters.kernel.absorb(&res.kernel);
-        let child_basis = res.basis.map(Arc::new);
-        let (x, lp_obj) = match res.outcome {
-            LpOutcome::Infeasible => {
-                counters.pruned += 1;
-                continue;
-            }
-            LpOutcome::Unbounded => {
-                if node.depth == 0 && incumbent.is_none() {
-                    saw_unbounded_root = true;
-                    break;
-                }
-                counters.pruned += 1;
-                continue;
-            }
-            LpOutcome::Optimal { x, obj } => (x, checked_bound(obj + ctx.obj_offset)?),
-        };
-
-        // Pseudocost update from the branching that created this node.
-        if let Some((col, up, parent_obj, dist)) = node.branch {
-            pc.observe(col, up, parent_obj, dist, lp_obj);
-        }
-
-        if let Some((_, best, _)) = &incumbent {
-            if lp_obj >= best - config.gap_tol * best.abs().max(1.0) {
-                counters.pruned += 1;
-                continue;
-            }
-        }
-
-        match pc.pick_branch(&x, &std.col_is_int) {
-            None => {
-                // Integral LP optimum: new incumbent.
-                let mut vals = expand(std, &x);
-                for (i, v) in vals.iter_mut().enumerate() {
-                    if ctx.model.vars[i].kind != VarKind::Continuous {
-                        *v = v.round();
-                    }
-                }
-                ctx.admit(
-                    vals,
-                    IncumbentSource::LpIntegral,
-                    &mut incumbent,
-                    &mut timeline,
-                );
-            }
-            Some((c, _)) => {
-                // Heuristic: round and repair occasionally.
-                if config.heuristic_period > 0 && counters.explored % config.heuristic_period == 1 {
-                    if let Some(vals) = crate::heur::round_and_repair(
-                        &std.lp,
-                        &lb_buf,
-                        &ub_buf,
-                        &std.col_is_int,
-                        &x,
-                        &ctx.lp_opts,
-                    ) {
-                        let full = expand(std, &vals);
-                        if ctx.model.is_feasible(&full, FEAS_TOL * 10.0) {
-                            ctx.admit(
-                                full,
-                                IncumbentSource::Heuristic,
-                                &mut incumbent,
-                                &mut timeline,
-                            );
-                        }
-                    }
-                }
-                counters.branched += 1;
-                let xi = x[c];
-                let down = xi.floor();
-                let up = xi.ceil();
-                let depth = node.depth + 1;
-                debug_assert!(
-                    lp_obj.is_finite(),
-                    "child node bound must be finite, got {lp_obj}"
-                );
-                for (is_lower, value, dist) in [(false, down, xi - down), (true, up, up - xi)] {
-                    arena.nodes.push((
-                        node.arena_idx,
-                        BoundDelta {
-                            col: c as u32,
-                            is_lower,
-                            value,
-                        },
-                    ));
-                    heap.push(OpenNode {
-                        bound: lp_obj,
-                        depth,
-                        arena_idx: arena.nodes.len() - 1,
-                        branch: Some((c, is_lower, lp_obj, dist)),
-                        basis: child_basis.clone(),
-                    });
-                }
-            }
-        }
-    }
-
-    Ok(SearchOutcome {
-        incumbent,
-        timeline,
-        counters,
-        limit_hit,
-        best_open_bound,
-        saw_unbounded_root,
-    })
 }
 
 #[cfg(test)]
@@ -1502,32 +1143,6 @@ mod tests {
     }
 
     #[test]
-    fn open_node_order_is_total_even_with_nan_bounds() {
-        let node = |bound: f64| OpenNode {
-            bound,
-            depth: 0,
-            arena_idx: usize::MAX,
-            branch: None,
-            basis: None,
-        };
-        // Antisymmetry must hold where partial_cmp().unwrap_or(Equal) broke
-        // it: NaN vs real compared Equal both ways before, now the order is
-        // consistent and reversible.
-        let (a, b) = (node(f64::NAN), node(1.0));
-        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
-        // Pop order stays best-first (smallest bound first) with NaN last.
-        let mut heap = BinaryHeap::new();
-        for bound in [f64::NAN, 1.0, f64::NEG_INFINITY, -3.0] {
-            heap.push(node(bound));
-        }
-        let popped: Vec<f64> = std::iter::from_fn(|| heap.pop().map(|n| n.bound)).collect();
-        assert_eq!(popped[0], f64::NEG_INFINITY);
-        assert_eq!(popped[1], -3.0);
-        assert_eq!(popped[2], 1.0);
-        assert!(popped[3].is_nan());
-    }
-
-    #[test]
     fn nan_objective_is_a_numerical_error() {
         let mut m = Model::new("t");
         let x = m.add_integer("x", 0.0, 5.0);
@@ -1628,6 +1243,53 @@ mod tests {
         );
         // Cut telemetry is consistent: rounds imply cuts and vice versa.
         assert_eq!(p.cut_rounds == 0, p.cuts_added == 0, "{p:?}");
+    }
+
+    /// The root LP is charged once, whatever the cut mode: on roster
+    /// knapsacks where the cut loop runs, `root_lp_iters` matches the
+    /// cut-free solve and the re-solves land in `cut_lp_iters`.
+    #[test]
+    fn cut_resolves_are_charged_to_the_cut_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let knapsack = |n: usize, seed: u64| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut m = Model::new("knap");
+            let mut obj = crate::LinExpr::default();
+            let mut weight = crate::LinExpr::default();
+            for i in 0..n {
+                let x = m.add_binary(format!("x{i}"));
+                obj += rng.gen_range(1..20) as f64 * x;
+                weight += rng.gen_range(1..12) as f64 * x;
+            }
+            m.add_constraint("cap", weight, Cmp::Le, (6 * n / 2) as f64);
+            m.set_objective(obj, Sense::Maximize);
+            m
+        };
+        let mut resolved = 0;
+        for seed in 0..8u64 {
+            let model = knapsack(24, 0xC0FFEE ^ (seed << 8) ^ 24);
+            let solve = |cuts| {
+                let cfg = BranchConfig {
+                    cuts,
+                    ..BranchConfig::default()
+                };
+                model.solve_with(&cfg).unwrap()
+            };
+            let (off, root) = (solve(CutMode::Off), solve(CutMode::Root));
+            let (p_off, p) = (off.root_profile(), root.root_profile());
+            assert_eq!(p_off.cut_lp_iters, 0, "seed {seed}: {p_off:?}");
+            assert!(
+                root.lp_iterations() >= p.root_lp_iters + p.cut_lp_iters,
+                "seed {seed}: totals include both root counters: {p:?}"
+            );
+            if p.cut_rounds == 0 {
+                continue;
+            }
+            assert_eq!(p.root_lp_iters, p_off.root_lp_iters, "seed {seed}: {p:?}");
+            resolved += usize::from(p.cut_lp_iters > 0);
+        }
+        assert!(resolved > 0, "no roster model re-solved after a cut round");
     }
 
     /// Brute-force cross-check on random small ILPs.

@@ -264,62 +264,6 @@ pub fn certify(model: &Model, sol: &Solution) -> Result<Certificate, CertifyErro
     Ok(cert)
 }
 
-/// Checks a structural assignment against a standardized LP's *original*
-/// rows and bounds — the LP-level analogue of [`certify_values`], used to
-/// vet what the reduction presolve's postsolve reconstructs before a
-/// reduced solve's answer is trusted in full space.
-///
-/// `x` holds the structural columns only; each row's slack value is
-/// implied (`s_r = rhs_r − Σ a_rj·x_j`, the slack coefficient being 1)
-/// and must land within the slack's bounds, which is exactly "the
-/// original constraint holds". `lb`/`ub` are the per-node override
-/// bounds (`p.num_cols` long), matching what the solve saw.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation found.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn certify_lp_rows(
-    p: &crate::simplex::LpProblem,
-    lb: &[f64],
-    ub: &[f64],
-    x: &[f64],
-    tol: f64,
-) -> Result<(), String> {
-    if x.len() != p.num_structural {
-        return Err(format!(
-            "arity mismatch: {} structural values for {} columns",
-            x.len(),
-            p.num_structural
-        ));
-    }
-    for (j, &v) in x.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(format!("column {j} is not finite: {v}"));
-        }
-        if v < lb[j] - tol || v > ub[j] + tol {
-            return Err(format!("column {j} = {v} outside [{}, {}]", lb[j], ub[j]));
-        }
-    }
-    for (r, row) in p.rows.iter().enumerate() {
-        let slack = (p.num_structural + r) as u32;
-        let mut activity = 0.0;
-        for &(c, a) in row {
-            if c != slack {
-                activity += a * x[c as usize];
-            }
-        }
-        let s = p.rhs[r] - activity;
-        if s < lb[slack as usize] - tol || s > ub[slack as usize] + tol {
-            return Err(format!(
-                "row {r}: slack {s} outside [{}, {}] (activity {activity}, rhs {})",
-                lb[slack as usize], ub[slack as usize], p.rhs[r]
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -73,7 +73,7 @@ pub use expr::{LinExpr, Var};
 pub use gomil_budget::{Budget, BudgetChecker, BudgetExceeded};
 pub use lp_format::LpParseError;
 pub use model::{Cmp, Model, Sense, VarKind};
-pub use presolve::{PresolveOpts, Presolved, ReductionStats};
+pub use presolve::{PresolveOpts, Presolved};
 pub use simplex::{Pricing, FEAS_TOL};
 pub use solution::{
     IncumbentEvent, IncumbentSource, RootProfile, Solution, SolveError, SolveStatus,

@@ -340,7 +340,6 @@ impl Model {
                     cuts: branch::CutMode::Off,
                     probing: false,
                     scaling: false,
-                    reduce: false,
                     ..config.clone()
                 };
                 branch::solve(self, &retry).map_err(|e| match e {

@@ -1,37 +1,42 @@
-//! Parallel branch-and-bound: a fixed worker pool over a shared best-first
-//! queue.
+//! The branch-and-bound node loop: a fixed worker pool over a shared
+//! best-first queue.
 //!
-//! Engaged by [`BranchConfig::jobs`](crate::BranchConfig::jobs) > 1. The
-//! design mirrors the sequential loop in [`branch`](crate::branch) exactly —
-//! same presolve/standardize front end, same pseudocost branching, same
-//! round-and-repair heuristic cadence — but distributes node processing:
+//! [`branch::solve`](crate::branch::solve) prepares the model (presolve,
+//! standardization, root LP and cuts) and hands the node loop to
+//! [`search`], which runs [`BranchConfig::jobs`](crate::BranchConfig::jobs)
+//! workers: `jobs − 1` scoped helper threads plus one worker on the calling
+//! thread, so `jobs = 1` is a pool of one that spawns no thread. Every
+//! worker runs the same per-node pipeline — bound propagation, dual warm
+//! restart, pseudocost branching, the round-and-repair heuristic cadence:
 //!
-//! * **Open queue.** One `Mutex<BinaryHeap>` ordered best-bound-first (the
-//!   same NaN-safe [`f64::total_cmp`] comparator as the sequential heap).
-//!   Workers pop the globally best open node; when the heap runs dry but
-//!   peers are still processing (and may push children), a worker parks on
-//!   a condvar rather than exiting. The search is over when the heap is
-//!   empty *and* no worker is mid-node.
+//! * **Open queue.** One `Mutex<BinaryHeap>` ordered best-bound-first, with
+//!   a NaN-safe [`f64::total_cmp`] comparator and deeper nodes first on
+//!   ties. Workers pop the globally best open node; when the heap runs dry
+//!   but peers are still processing (and may push children), a worker
+//!   parks on a condvar rather than exiting. The search is over when the
+//!   heap is empty *and* no worker is mid-node.
 //! * **Shared incumbent.** The incumbent objective lives in an `AtomicU64`
 //!   as order-preserving bits, so every worker prunes against the freshest
 //!   bound with one relaxed load — no lock on the hot path. Improvements
 //!   CAS the objective first (losers retry or abandon), then store the
 //!   assignment and a timeline event under a mutex.
-//! * **Node state.** Sequential search stores branching deltas in an arena
-//!   owned by the loop; here each node carries an `Arc` parent-pointer
-//!   chain instead, so any worker can materialize any node's bounds without
-//!   touching shared mutable state. Per-worker `lb`/`ub` scratch buffers
-//!   keep simplex state thread-private, while parent bases travel with
-//!   stolen nodes (`Arc<Basis>`) so any worker can dual-warm-restart.
+//! * **Node state.** Each node carries an `Arc` parent-pointer chain of
+//!   branching deltas ([`PathNode`]), so any worker can materialize any
+//!   node's bounds without touching shared mutable state. Per-worker
+//!   `lb`/`ub` scratch buffers keep simplex state thread-private, while
+//!   parent bases travel with the nodes (`Arc<Basis>`) so any worker can
+//!   dual-warm-restart.
 //! * **Cancellation.** Workers share the solve's [`Budget`]: deadlines and
 //!   [`Budget::cancel`] are observed between nodes (via an amortized
 //!   [`BudgetChecker`]) and inside every simplex pivot loop, so one
-//!   pipeline-level budget still bounds the whole parallel search.
+//!   pipeline-level budget still bounds the whole search.
 //!
-//! Determinism: for a fixed model the *proved optimum* is identical to the
-//! sequential engine's (pruning only ever discards nodes that provably
-//! cannot beat the incumbent), but node visit order, node/iteration counts,
-//! and which of several optimal assignments is returned depend on thread
+//! Determinism: a pool of one visits nodes in a fixed order, so two
+//! `jobs = 1` solves of the same model return the same node and iteration
+//! counts and the same assignment. With more workers the *proved optimum*
+//! is unchanged (pruning only ever discards nodes that provably cannot
+//! beat the incumbent), but node visit order, node/iteration counts, and
+//! which of several optimal assignments is returned depend on thread
 //! timing.
 //!
 //! [`Budget`]: gomil_budget::Budget
@@ -39,12 +44,14 @@
 //! [`BudgetChecker`]: gomil_budget::BudgetChecker
 
 use crate::branch::{
-    checked_bound, expand, solve_lp_reduced, BoundDelta, Incumbent, PcTables, SearchCounters,
-    SearchCtx, SearchOutcome,
+    checked_bound, expand, BoundDelta, Incumbent, PcTables, SearchCounters, SearchCtx,
+    SearchOutcome,
 };
 use crate::model::VarKind;
 use crate::propagate::propagate_bounds;
-use crate::simplex::{resolve_lp, Basis, KernelStats, LpError, LpOutcome, LpResult, FEAS_TOL};
+use crate::simplex::{
+    resolve_lp, solve_lp_from, Basis, KernelStats, LpError, LpOutcome, LpResult, FEAS_TOL,
+};
 use crate::solution::{IncumbentEvent, IncumbentSource, SolveError};
 use gomil_budget::BudgetChecker;
 use std::collections::BinaryHeap;
@@ -78,8 +85,8 @@ struct PathNode {
     delta: BoundDelta,
 }
 
-/// Applies every delta on the chain, innermost-first (the same
-/// tighten-only semantics as the sequential arena walk).
+/// Applies every delta on the chain, innermost-first. Deltas only ever
+/// tighten, so the order does not matter.
 fn apply_path(mut path: Option<&Arc<PathNode>>, lb: &mut [f64], ub: &mut [f64]) {
     while let Some(p) = path {
         p.delta.tighten(lb, ub);
@@ -93,11 +100,10 @@ struct ParNode {
     depth: u32,
     path: Option<Arc<PathNode>>,
     /// `(column, went_up, parent LP objective, fractional distance)` for
-    /// pseudocost updates, like the sequential engine.
+    /// pseudocost updates.
     branch: Option<(usize, bool, f64, f64)>,
-    /// The parent's optimal basis; travels with the node so whichever
-    /// worker steals it can dual-warm-restart, exactly like the sequential
-    /// engine.
+    /// The parent's optimal basis, shared by both children; travels with
+    /// the node so whichever worker claims it can dual-warm-restart.
     basis: Option<Arc<Basis>>,
 }
 
@@ -109,7 +115,12 @@ impl PartialEq for ParNode {
 impl Eq for ParNode {}
 impl Ord for ParNode {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Same NaN-safe best-first order as the sequential OpenNode.
+        // BinaryHeap is a max-heap; we want the smallest bound first, with a
+        // preference for deeper nodes (diving) on ties. `total_cmp` keeps
+        // this a lawful total order even for NaN bounds (which
+        // `checked_bound` rejects upstream anyway): NaN sorts after every
+        // real bound instead of silently comparing "equal" to everything
+        // and corrupting the heap invariant.
         other
             .bound
             .total_cmp(&self.bound)
@@ -191,8 +202,8 @@ impl<'c, 'm> Shared<'c, 'm> {
         (best != f64::INFINITY).then_some(best)
     }
 
-    /// Whether a node with this bound cannot beat the incumbent (the same
-    /// gap-tolerance cutoff as the sequential loop).
+    /// Whether a node with this bound cannot beat the incumbent, within
+    /// the configured gap tolerance.
     fn prunable(&self, bound: f64) -> bool {
         match self.cutoff() {
             Some(best) => bound >= best - self.ctx.config.gap_tol * best.abs().max(1.0),
@@ -246,8 +257,7 @@ impl<'c, 'm> Shared<'c, 'm> {
             if let Some(top_bound) = q.heap.peek().map(|n| n.bound) {
                 // The top is the minimum bound: if it cannot beat the
                 // incumbent, neither can anything below it. Discard the
-                // whole heap in one sweep (the parallel analogue of the
-                // sequential pop-and-skip prune).
+                // whole heap in one sweep.
                 if self.prunable(top_bound) {
                     let n = q.heap.len() as u64;
                     q.heap.clear();
@@ -307,7 +317,7 @@ impl<'c, 'm> Shared<'c, 'm> {
         self.cv.notify_all();
     }
 
-    /// The sequential per-node pipeline: materialize bounds, propagate,
+    /// The per-node pipeline: materialize bounds, propagate,
     /// solve the LP relaxation, update pseudocosts, then prune, record an
     /// incumbent, or branch.
     fn process(&self, node: &ParNode, lb_buf: &mut [f64], ub_buf: &mut [f64]) -> NodeResult {
@@ -333,7 +343,7 @@ impl<'c, 'm> Shared<'c, 'm> {
         }
 
         // Dual warm restart from the basis that traveled with the node;
-        // miss ⇒ from-scratch primal, exactly like the sequential engine.
+        // miss ⇒ from-scratch two-phase primal.
         let mut res: Option<LpResult> = None;
         if ctx.config.reuse_basis {
             if let Some(basis) = node.basis.as_deref() {
@@ -354,14 +364,7 @@ impl<'c, 'm> Shared<'c, 'm> {
         }
         let res = match res {
             Some(r) => r,
-            None => match solve_lp_reduced(
-                &std.lp,
-                lb_buf,
-                ub_buf,
-                &ctx.lp_opts,
-                ctx.config.reduce,
-                None,
-            ) {
+            None => match solve_lp_from(&std.lp, lb_buf, ub_buf, &ctx.lp_opts) {
                 Ok(r) => r,
                 Err(LpError::Budget { reason, iterations }) => {
                     self.lp_iters.fetch_add(iterations, Ordering::Relaxed);
@@ -420,8 +423,9 @@ impl<'c, 'm> Shared<'c, 'm> {
                 NodeResult::Exhausted
             }
             Some((c, _)) => {
-                // Heuristic: round and repair on the same global cadence as
-                // the sequential engine (approximate under concurrency).
+                // Heuristic: round and repair every `heuristic_period`
+                // explored nodes (a global count, so the cadence is
+                // approximate under concurrency).
                 if config.heuristic_period > 0 && explored_now % config.heuristic_period == 1 {
                     if let Some(vals) = crate::heur::round_and_repair(
                         &std.lp,
@@ -478,23 +482,24 @@ fn worker(shared: &Shared<'_, '_>) {
     }
 }
 
-/// Runs the worker-pool search. Called by [`branch::solve`](crate::branch)
-/// when `config.jobs > 1`; inherits the prepared context plus any
-/// warm-start incumbent/timeline.
+/// Runs the worker-pool search: `jobs − 1` scoped helper threads plus one
+/// worker on the calling thread. Called by
+/// [`branch::solve`](crate::branch::solve); inherits the prepared context
+/// plus any warm-start incumbent/timeline.
 pub(crate) fn search(
     ctx: &SearchCtx<'_>,
     incumbent: Option<Incumbent>,
     timeline: Vec<IncumbentEvent>,
 ) -> Result<SearchOutcome, SolveError> {
-    let jobs = ctx.config.jobs.max(2);
+    let jobs = ctx.config.jobs.max(1);
     let mut heap = BinaryHeap::new();
     heap.push(ParNode {
         bound: f64::NEG_INFINITY,
         depth: 0,
         path: None,
         branch: None,
-        // The root LP was already solved (and cut) in `prepare`; whichever
-        // worker claims the root dual-warm-restarts from its basis.
+        // The root LP was already solved (and cut) in `prepare`; restarting
+        // from its basis makes the first node a handful of dual pivots.
         basis: ctx.root_basis.clone(),
     });
     let shared = Shared {
@@ -528,9 +533,10 @@ pub(crate) fn search(
     };
 
     std::thread::scope(|s| {
-        for _ in 0..jobs {
+        for _ in 1..jobs {
             s.spawn(|| worker(&shared));
         }
+        worker(&shared);
     });
 
     let q = shared.q.into_inner().unwrap_or_else(|p| p.into_inner());
@@ -622,8 +628,36 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_objective() {
-        for jobs in [2, 4] {
+    fn open_node_order_is_total_even_with_nan_bounds() {
+        use super::ParNode;
+        use std::collections::BinaryHeap;
+        let node = |bound: f64| ParNode {
+            bound,
+            depth: 0,
+            path: None,
+            branch: None,
+            basis: None,
+        };
+        // Antisymmetry must hold where partial_cmp().unwrap_or(Equal) broke
+        // it: NaN vs real compared Equal both ways before, now the order is
+        // consistent and reversible.
+        let (a, b) = (node(f64::NAN), node(1.0));
+        assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+        // Pop order stays best-first (smallest bound first) with NaN last.
+        let mut heap = BinaryHeap::new();
+        for bound in [f64::NAN, 1.0, f64::NEG_INFINITY, -3.0] {
+            heap.push(node(bound));
+        }
+        let popped: Vec<f64> = std::iter::from_fn(|| heap.pop().map(|n| n.bound)).collect();
+        assert_eq!(popped[0], f64::NEG_INFINITY);
+        assert_eq!(popped[1], -3.0);
+        assert_eq!(popped[2], 1.0);
+        assert!(popped[3].is_nan());
+    }
+
+    #[test]
+    fn pool_sizes_prove_the_same_objective() {
+        for jobs in [1, 2, 4] {
             let m = knapsack();
             let cfg = BranchConfig {
                 jobs,

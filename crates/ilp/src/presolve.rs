@@ -24,7 +24,7 @@
 
 use crate::expr::{LinExpr, Var};
 use crate::model::{Cmp, Model, VarKind};
-use crate::simplex::{Basis, ColStatus, LpProblem, FEAS_TOL};
+use crate::simplex::FEAS_TOL;
 use gomil_budget::Budget;
 use std::collections::VecDeque;
 
@@ -481,774 +481,11 @@ pub fn presolve_with_opts(model: &Model, budget: &Budget, opts: &PresolveOpts) -
     }
 }
 
-// ===================== LP reduction presolve =====================
-//
-// A second presolve layer that operates on the *standardized LP* (not the
-// model): it shrinks the problem the simplex actually factorizes, then
-// reconstructs the full-space primal solution AND basis afterwards so
-// `certify`, warm restarts (`resolve_lp`) and cut separation keep working
-// against the original rows. Every reduction is an exact reformulation of
-// the LP relaxation — the reduced optimum equals the original optimum
-// (after adding `obj_offset`), never a tighter relaxation.
-
-/// How many reduce passes to run: substitution creates new singleton and
-/// empty rows, which a later pass harvests; four passes catch everything
-/// the GOMIL models produce without risking pathological looping.
-const REDUCE_PASSES: usize = 4;
-
-/// Bound-equality slop when deciding whether a reduced nonbasic column
-/// sits at a *node* bound (no basis fixup needed) or at a bound the
-/// reduction synthesized (promotion into the generating row required).
-const REDUCE_BOUND_TOL: f64 = 1e-9;
-
-/// Counters from one [`reduce_lp`] call, broken down by rule.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReductionStats {
-    /// Total rows removed from the LP.
-    pub rows_dropped: u64,
-    /// Total structural columns removed from the LP.
-    pub cols_dropped: u64,
-    /// Rows with no live structural entry (feasibility-checked, dropped).
-    pub empty_rows: u64,
-    /// Rows always satisfiable within their slack bounds.
-    pub redundant_rows: u64,
-    /// Rows with one live structural entry, folded into column bounds.
-    pub singleton_rows: u64,
-    /// Rows dropped because an identical-pattern row dominates them.
-    pub duplicate_rows: u64,
-    /// Columns fixed by the node bounds, substituted into the rhs.
-    pub fixed_cols: u64,
-    /// Columns no live row touches, pinned to their cheapest bound.
-    pub empty_cols: u64,
-}
-
-/// Outcome of [`reduce_lp`].
-pub(crate) enum LpReduction {
-    /// The reduced problem plus everything postsolve needs.
-    Reduced(Box<ReducedLp>),
-    /// Reduction proved the node infeasible outright (an empty row with an
-    /// unsatisfiable rhs, a singleton row whose implied interval misses
-    /// the column box, or duplicate rows with disjoint intervals).
-    Infeasible,
-}
-
-/// A reduced LP plus the postsolve recipe back to the original space.
-pub(crate) struct ReducedLp {
-    /// The reduced problem; `slack_col(r') = num_structural' + r'` holds.
-    pub lp: LpProblem,
-    /// Column bounds for the reduced problem (tightened structural bounds
-    /// from singleton-row folding, original slack bounds).
-    pub lb: Vec<f64>,
-    pub ub: Vec<f64>,
-    /// `c·v` contribution of the substituted-out columns; add to the
-    /// reduced objective to recover the original objective.
-    pub obj_offset: f64,
-    pub stats: ReductionStats,
-    orig_ns: usize,
-    orig_rows: usize,
-    /// Original structural column → reduced structural column.
-    col_map: Vec<Option<u32>>,
-    /// Original row → reduced row.
-    row_map: Vec<Option<u32>>,
-    /// Value of each dropped structural column (where `col_map` is None).
-    dropped_val: Vec<f64>,
-    /// Nonbasic side for each dropped structural column.
-    dropped_status: Vec<ColStatus>,
-    /// For a column whose reduced *lower* bound was synthesized by a
-    /// singleton row: the generating row and the slack side that row's
-    /// slack pins to when the column sits at that bound.
-    red_lb_src: Vec<Option<(u32, ColStatus)>>,
-    /// Same for synthesized upper bounds.
-    red_ub_src: Vec<Option<(u32, ColStatus)>>,
-}
-
-impl ReducedLp {
-    /// True when reduction removed nothing; callers should solve the
-    /// original problem directly and skip the postsolve copy.
-    pub(crate) fn is_noop(&self) -> bool {
-        self.stats.rows_dropped == 0 && self.stats.cols_dropped == 0
-    }
-
-    /// Maps a reduced optimal solution (and basis) back to the original
-    /// space. `node_lb`/`node_ub` are the bounds `reduce_lp` was called
-    /// with. Returns the full structural solution and, when the reduced
-    /// basis could be lifted, a full-space [`Basis`] that `resolve_lp`
-    /// accepts: dropped rows get their slack basic, and columns pinned to
-    /// a *synthesized* bound are promoted basic into the singleton row
-    /// that generated the bound (block-triangular, hence nonsingular).
-    pub(crate) fn postsolve(
-        &self,
-        node_lb: &[f64],
-        node_ub: &[f64],
-        x_red: &[f64],
-        basis_red: Option<&Basis>,
-    ) -> (Vec<f64>, Option<Basis>) {
-        let ns = self.orig_ns;
-        let m = self.orig_rows;
-        let ns_red = self.lp.num_structural;
-
-        let mut x = vec![0.0; ns];
-        for (j, xj) in x.iter_mut().enumerate() {
-            *xj = match self.col_map[j] {
-                Some(j2) => x_red[j2 as usize],
-                None => self.dropped_val[j],
-            };
-        }
-
-        let Some(rb) = basis_red else {
-            return (x, None);
-        };
-        if rb.cols.len() != self.lp.rows.len() || rb.status.len() != self.lp.num_cols {
-            return (x, None);
-        }
-
-        // Inverse maps: reduced index → original index.
-        let mut inv_col = vec![0u32; ns_red];
-        for (j, cm) in self.col_map.iter().enumerate() {
-            if let Some(j2) = cm {
-                inv_col[*j2 as usize] = j as u32;
-            }
-        }
-        let mut inv_row = vec![0u32; self.lp.rows.len()];
-        for (r, rm) in self.row_map.iter().enumerate() {
-            if let Some(r2) = rm {
-                inv_row[*r2 as usize] = r as u32;
-            }
-        }
-
-        let mut status = vec![ColStatus::AtLower; ns + m];
-        let mut cols = vec![u32::MAX; m];
-
-        for (j, st) in status.iter_mut().take(ns).enumerate() {
-            *st = match self.col_map[j] {
-                Some(j2) => rb.status[j2 as usize],
-                None => self.dropped_status[j],
-            };
-        }
-        for r in 0..m {
-            match self.row_map[r] {
-                Some(r2) => {
-                    status[ns + r] = rb.status[ns_red + r2 as usize];
-                    let bc = rb.cols[r2 as usize] as usize;
-                    cols[r] = if bc < ns_red {
-                        inv_col[bc]
-                    } else {
-                        ns as u32 + inv_row[bc - ns_red]
-                    };
-                }
-                None => {
-                    // Dropped row: its slack absorbs the residual, which the
-                    // reduction rules guarantee lies within the slack bounds.
-                    status[ns + r] = ColStatus::Basic;
-                    cols[r] = (ns + r) as u32;
-                }
-            }
-        }
-
-        // Promotion fixups: a nonbasic column resting on a bound that the
-        // reduction synthesized has no full-space bound to rest on, so it
-        // goes basic in the singleton row that produced the bound (whose
-        // slack then pins to the opposite, finite side). The dropped row
-        // has no other basis column with an entry in it, so the lifted
-        // basis matrix stays block triangular and nonsingular.
-        for j in 0..ns {
-            if status[j] == ColStatus::Basic {
-                continue;
-            }
-            let v = x[j];
-            let (src, at_node_bound) = match status[j] {
-                ColStatus::AtLower => (
-                    self.red_lb_src[j],
-                    (v - node_lb[j]).abs() <= REDUCE_BOUND_TOL,
-                ),
-                ColStatus::AtUpper => (
-                    self.red_ub_src[j],
-                    (v - node_ub[j]).abs() <= REDUCE_BOUND_TOL,
-                ),
-                ColStatus::Basic => unreachable!(),
-            };
-            if at_node_bound {
-                continue;
-            }
-            let Some((r, slack_side)) = src else {
-                return (x, None); // synthesized bound with no recorded source
-            };
-            let r = r as usize;
-            if self.row_map[r].is_some() || cols[r] != (ns + r) as u32 {
-                return (x, None); // source row unexpectedly live or taken
-            }
-            let sidx = ns + r;
-            let side_finite = match slack_side {
-                ColStatus::AtLower => node_lb[sidx].is_finite(),
-                ColStatus::AtUpper => node_ub[sidx].is_finite(),
-                ColStatus::Basic => false,
-            };
-            if !side_finite {
-                return (x, None);
-            }
-            cols[r] = j as u32;
-            status[j] = ColStatus::Basic;
-            status[sidx] = slack_side;
-        }
-
-        // `resolve_lp` rejects AtUpper on an unbounded column outright;
-        // catch that here so the caller falls back cleanly.
-        for (j, st) in status.iter().enumerate() {
-            if *st == ColStatus::AtUpper && !node_ub[j].is_finite() {
-                return (x, None);
-            }
-        }
-        (x, Some(Basis { cols, status }))
-    }
-}
-
-/// Runs empty/redundant/singleton/duplicate row elimination and
-/// fixed/empty column substitution on the standardized LP `p` under node
-/// bounds `lb`/`ub` (full space, structural then slacks). The returned
-/// [`ReducedLp`] preserves the one-slack-per-row invariant, so
-/// `solve_lp_from` accepts it unchanged.
-pub(crate) fn reduce_lp(p: &LpProblem, lb: &[f64], ub: &[f64]) -> LpReduction {
-    let ns = p.num_structural;
-    let m = p.rows.len();
-    debug_assert_eq!(p.num_cols, ns + m);
-    debug_assert_eq!(lb.len(), p.num_cols);
-    debug_assert_eq!(ub.len(), p.num_cols);
-
-    let mut wlb = lb[..ns].to_vec();
-    let mut wub = ub[..ns].to_vec();
-    let mut work_rhs = p.rhs.clone();
-    let mut row_alive = vec![true; m];
-    let mut col_alive = vec![true; ns];
-    let mut dropped_val = vec![0.0; ns];
-    let mut dropped_status = vec![ColStatus::AtLower; ns];
-    let mut red_lb_src: Vec<Option<(u32, ColStatus)>> = vec![None; ns];
-    let mut red_ub_src: Vec<Option<(u32, ColStatus)>> = vec![None; ns];
-    let mut obj_offset = 0.0f64;
-    let mut stats = ReductionStats::default();
-
-    // The activity interval a row's structural part must land in:
-    // Σ a·x = rhs − s with s ∈ [slo, shi] ⇒ Σ a·x ∈ [rhs − shi, rhs − slo].
-    let act_interval = |rhs: f64, slo: f64, shi: f64| (rhs - shi, rhs - slo);
-
-    for _pass in 0..REDUCE_PASSES {
-        let mut changed = false;
-
-        // --- Row rules: empty, redundant, singleton.
-        for r in 0..m {
-            if !row_alive[r] {
-                continue;
-            }
-            let slack = (ns + r) as u32;
-            let (alo, ahi) = act_interval(work_rhs[r], lb[ns + r], ub[ns + r]);
-            let mut cnt = 0usize;
-            let mut single = (0u32, 0.0f64);
-            let mut min_act = 0.0f64;
-            let mut max_act = 0.0f64;
-            for &(c, a) in &p.rows[r] {
-                if c == slack || a == 0.0 || !col_alive[c as usize] {
-                    continue;
-                }
-                let j = c as usize;
-                cnt += 1;
-                single = (c, a);
-                if a > 0.0 {
-                    min_act += a * wlb[j];
-                    max_act += a * wub[j];
-                } else {
-                    min_act += a * wub[j];
-                    max_act += a * wlb[j];
-                }
-            }
-            if cnt == 0 {
-                if alo > FEAS_TOL || ahi < -FEAS_TOL {
-                    return LpReduction::Infeasible;
-                }
-                row_alive[r] = false;
-                stats.empty_rows += 1;
-                stats.rows_dropped += 1;
-                changed = true;
-                continue;
-            }
-            if min_act >= alo - FEAS_TOL && max_act <= ahi + FEAS_TOL {
-                row_alive[r] = false;
-                stats.redundant_rows += 1;
-                stats.rows_dropped += 1;
-                changed = true;
-                continue;
-            }
-            if cnt == 1 {
-                let (c, a) = single;
-                let j = c as usize;
-                // Fold the row into bounds on x_j. When x_j rests on the
-                // implied lower bound the slack sits at the bound that
-                // produced it (shi for a > 0, slo for a < 0) — recorded so
-                // postsolve can rebuild the basis.
-                let (ilo, ihi, lo_side, hi_side) = if a > 0.0 {
-                    (alo / a, ahi / a, ColStatus::AtUpper, ColStatus::AtLower)
-                } else {
-                    (ahi / a, alo / a, ColStatus::AtLower, ColStatus::AtUpper)
-                };
-                if ilo > wub[j] + FEAS_TOL || ihi < wlb[j] - FEAS_TOL {
-                    return LpReduction::Infeasible;
-                }
-                if ilo > wlb[j] + REDUCE_BOUND_TOL {
-                    wlb[j] = ilo.min(wub[j]);
-                    red_lb_src[j] = Some((r as u32, lo_side));
-                }
-                if ihi < wub[j] - REDUCE_BOUND_TOL {
-                    wub[j] = ihi.max(wlb[j]);
-                    red_ub_src[j] = Some((r as u32, hi_side));
-                }
-                row_alive[r] = false;
-                stats.singleton_rows += 1;
-                stats.rows_dropped += 1;
-                changed = true;
-            }
-        }
-
-        // --- Duplicate rows: identical live structural patterns. Only the
-        // dominated row (whose activity interval contains the other's) may
-        // drop — its slack stays free to absorb the residual. Partially
-        // overlapping intervals (a ≤/≥ pair forming a range) keep both.
-        {
-            let mut sigs: Vec<(Vec<(u32, f64)>, usize)> = Vec::new();
-            for (r, &alive) in row_alive.iter().enumerate() {
-                if !alive {
-                    continue;
-                }
-                let slack = (ns + r) as u32;
-                let mut sig: Vec<(u32, f64)> = p.rows[r]
-                    .iter()
-                    .copied()
-                    .filter(|&(c, a)| c != slack && a != 0.0 && col_alive[c as usize])
-                    .collect();
-                sig.sort_unstable_by_key(|&(c, _)| c);
-                sigs.push((sig, r));
-            }
-            sigs.sort_unstable_by(|a, b| {
-                a.0.len().cmp(&b.0.len()).then_with(|| {
-                    for (&(c1, v1), &(c2, v2)) in a.0.iter().zip(b.0.iter()) {
-                        let o = c1.cmp(&c2).then(v1.total_cmp(&v2));
-                        if o != std::cmp::Ordering::Equal {
-                            return o;
-                        }
-                    }
-                    std::cmp::Ordering::Equal
-                })
-            });
-            let mut g = 0;
-            while g < sigs.len() {
-                let mut h = g + 1;
-                while h < sigs.len() && sigs[h].0 == sigs[g].0 {
-                    h += 1;
-                }
-                if h - g > 1 {
-                    // Pairwise dominance within the equal-pattern group.
-                    let mut kept: Vec<usize> = Vec::new();
-                    for &(_, r) in &sigs[g..h] {
-                        let (alo, ahi) = act_interval(work_rhs[r], lb[ns + r], ub[ns + r]);
-                        let mut keep = true;
-                        for &kr in &kept {
-                            let (klo, khi) = act_interval(work_rhs[kr], lb[ns + kr], ub[ns + kr]);
-                            if alo > khi + FEAS_TOL || ahi < klo - FEAS_TOL {
-                                return LpReduction::Infeasible;
-                            }
-                            if klo >= alo - FEAS_TOL && khi <= ahi + FEAS_TOL {
-                                // Kept row implies this one: drop it.
-                                keep = false;
-                                break;
-                            }
-                        }
-                        if keep {
-                            kept.push(r);
-                        } else {
-                            row_alive[r] = false;
-                            stats.duplicate_rows += 1;
-                            stats.rows_dropped += 1;
-                            changed = true;
-                        }
-                    }
-                }
-                g = h;
-            }
-        }
-
-        // --- Column rules: node-fixed substitution, empty-column pinning.
-        // Columns whose bounds the *reduction* collapsed stay live — their
-        // values must remain explicit for basis promotion to work.
-        let mut occ = vec![0u32; ns];
-        for (r, &alive) in row_alive.iter().enumerate() {
-            if !alive {
-                continue;
-            }
-            let slack = (ns + r) as u32;
-            for &(c, a) in &p.rows[r] {
-                if c != slack && a != 0.0 && col_alive[c as usize] {
-                    occ[c as usize] += 1;
-                }
-            }
-        }
-        let mut newly_fixed = vec![false; ns];
-        let mut any_fixed = false;
-        for j in 0..ns {
-            if !col_alive[j] {
-                continue;
-            }
-            if lb[j].is_finite() && ub[j] - lb[j] <= 0.0 {
-                col_alive[j] = false;
-                dropped_val[j] = lb[j];
-                dropped_status[j] = ColStatus::AtLower;
-                obj_offset += p.costs[j] * lb[j];
-                newly_fixed[j] = true;
-                any_fixed = true;
-                stats.fixed_cols += 1;
-                stats.cols_dropped += 1;
-                changed = true;
-            } else if occ[j] == 0 {
-                // No live row constrains x_j: pin to the cheapest bound.
-                // Skip (leave live) when that bound is infinite — the
-                // simplex detects genuine unboundedness itself, and an
-                // eager claim here could mask infeasibility elsewhere.
-                let c = p.costs[j];
-                let (v, st) = if c > 0.0 || (c == 0.0 && wlb[j].is_finite()) {
-                    (wlb[j], ColStatus::AtLower)
-                } else {
-                    (wub[j], ColStatus::AtUpper)
-                };
-                if v.is_finite() {
-                    col_alive[j] = false;
-                    dropped_val[j] = v;
-                    dropped_status[j] = st;
-                    obj_offset += c * v;
-                    newly_fixed[j] = true;
-                    any_fixed = true;
-                    stats.empty_cols += 1;
-                    stats.cols_dropped += 1;
-                    changed = true;
-                }
-            }
-        }
-        if any_fixed {
-            // One sweep folds every just-dropped column into the rhs.
-            for r in 0..m {
-                if !row_alive[r] {
-                    continue;
-                }
-                let slack = (ns + r) as u32;
-                for &(c, a) in &p.rows[r] {
-                    if c != slack && newly_fixed[c as usize] {
-                        work_rhs[r] -= a * dropped_val[c as usize];
-                    }
-                }
-            }
-        }
-
-        if !changed {
-            break;
-        }
-    }
-
-    // --- Assemble the reduced problem with compacted numbering.
-    let mut col_map: Vec<Option<u32>> = vec![None; ns];
-    let mut ns_red = 0usize;
-    for (j, cm) in col_map.iter_mut().enumerate() {
-        if col_alive[j] {
-            *cm = Some(ns_red as u32);
-            ns_red += 1;
-        }
-    }
-    let mut row_map: Vec<Option<u32>> = vec![None; m];
-    let mut m_red = 0usize;
-    for (r, rm) in row_map.iter_mut().enumerate() {
-        if row_alive[r] {
-            *rm = Some(m_red as u32);
-            m_red += 1;
-        }
-    }
-
-    let num_cols_red = ns_red + m_red;
-    let mut costs = Vec::with_capacity(num_cols_red);
-    let mut rlb = Vec::with_capacity(num_cols_red);
-    let mut rub = Vec::with_capacity(num_cols_red);
-    for j in 0..ns {
-        if col_alive[j] {
-            costs.push(p.costs[j]);
-            rlb.push(wlb[j]);
-            rub.push(wub[j]);
-        }
-    }
-    costs.resize(num_cols_red, 0.0);
-    let mut rows = Vec::with_capacity(m_red);
-    let mut rhs = Vec::with_capacity(m_red);
-    for r in 0..m {
-        if !row_alive[r] {
-            continue;
-        }
-        let slack = (ns + r) as u32;
-        let mut row: Vec<(u32, f64)> = p.rows[r]
-            .iter()
-            .filter(|&&(c, a)| c != slack && a != 0.0 && col_alive[c as usize])
-            .map(|&(c, a)| (col_map[c as usize].unwrap(), a))
-            .collect();
-        row.push(((ns_red + rows.len()) as u32, 1.0));
-        rows.push(row);
-        rhs.push(work_rhs[r]);
-        rlb.push(lb[ns + r]);
-        rub.push(ub[ns + r]);
-    }
-
-    let lp = LpProblem::new(ns_red, costs, rlb.clone(), rub.clone(), rows, rhs);
-
-    LpReduction::Reduced(Box::new(ReducedLp {
-        lp,
-        lb: rlb,
-        ub: rub,
-        obj_offset,
-        stats,
-        orig_ns: ns,
-        orig_rows: m,
-        col_map,
-        row_map,
-        dropped_val,
-        dropped_status,
-        red_lb_src,
-        red_ub_src,
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::certify::certify_lp_rows;
     use crate::expr::LinExpr;
     use crate::model::{Cmp, Model};
-    use crate::simplex::{resolve_lp, solve_lp_from, LpOutcome, SimplexOpts};
-    use rand::{rngs::StdRng, Rng, SeedableRng};
-
-    /// A random standardized LP salted with exactly the structures
-    /// `reduce_lp` targets: empty rows, singleton rows, duplicated
-    /// structural patterns, fixed columns, and columns no row touches.
-    fn random_standardized_lp(seed: u64) -> LpProblem {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ns = rng.gen_range(3..9);
-        let m = rng.gen_range(1..7);
-        let num_cols = ns + m;
-        let mut costs = vec![0.0; num_cols];
-        let mut lb = vec![0.0; num_cols];
-        let mut ub = vec![f64::INFINITY; num_cols];
-        for j in 0..ns {
-            costs[j] = rng.gen_range(-5..6) as f64;
-            match rng.gen_range(0..10) {
-                0 => {
-                    let v = rng.gen_range(0..4) as f64;
-                    lb[j] = v;
-                    ub[j] = v;
-                }
-                1 => {
-                    lb[j] = f64::NEG_INFINITY;
-                    ub[j] = rng.gen_range(0..8) as f64;
-                }
-                _ => {
-                    ub[j] = rng.gen_range(1..9) as f64;
-                }
-            }
-        }
-        let mut rows: Vec<Vec<(u32, f64)>> = Vec::new();
-        let mut rhs: Vec<f64> = Vec::new();
-        for r in 0..m {
-            let slack = ns + r;
-            match rng.gen_range(0..3) {
-                0 => {} // ≤ row: slack [0, ∞), the default
-                1 => {
-                    // ≥ row: slack (-∞, 0].
-                    lb[slack] = f64::NEG_INFINITY;
-                    ub[slack] = 0.0;
-                }
-                _ => {
-                    // = row: slack [0, 0].
-                    ub[slack] = 0.0;
-                }
-            }
-            let mut row: Vec<(u32, f64)> = Vec::new();
-            let kind = rng.gen_range(0..10);
-            if kind == 0 {
-                // Empty row.
-            } else if kind <= 2 {
-                let j = rng.gen_range(0..ns) as u32;
-                let a =
-                    rng.gen_range(1..4) as f64 * if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
-                row.push((j, a));
-            } else if kind == 3 && r > 0 {
-                // Duplicate the previous row's structural pattern.
-                row = rows[r - 1]
-                    .iter()
-                    .filter(|&&(c, _)| (c as usize) < ns)
-                    .cloned()
-                    .collect();
-            } else {
-                let k = rng.gen_range(1..ns.min(4));
-                let mut picked = vec![false; ns];
-                for _ in 0..k {
-                    let j = rng.gen_range(0..ns);
-                    if !picked[j] {
-                        picked[j] = true;
-                        let a = rng.gen_range(1..5) as f64
-                            * if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
-                        row.push((j as u32, a));
-                    }
-                }
-                row.sort_by_key(|&(c, _)| c);
-            }
-            row.push((slack as u32, 1.0));
-            rows.push(row);
-            rhs.push(rng.gen_range(-6..10) as f64);
-        }
-        LpProblem::new(ns, costs, lb, ub, rows, rhs)
-    }
-
-    /// The reduction must be outcome- and objective-preserving, its
-    /// postsolved solutions must certify against the *original* rows,
-    /// and a warm restart of the original problem from the postsolved
-    /// basis must reproduce the from-scratch objective.
-    #[test]
-    fn reduce_solve_postsolve_round_trips_on_random_lps() {
-        let opts = SimplexOpts::default();
-        let mut reduced_cases = 0u32;
-        let mut bases_lifted = 0u32;
-        for seed in 0..400u64 {
-            let p = random_standardized_lp(0xD1CE ^ (seed << 4));
-            let lb = p.lb.clone();
-            let ub = p.ub.clone();
-            let direct = solve_lp_from(&p, &lb, &ub, &opts).expect("direct solve");
-            let red = match reduce_lp(&p, &lb, &ub) {
-                LpReduction::Infeasible => {
-                    assert!(
-                        matches!(direct.outcome, LpOutcome::Infeasible),
-                        "seed {seed}: reduction claims infeasible, direct solve disagrees"
-                    );
-                    continue;
-                }
-                LpReduction::Reduced(r) => r,
-            };
-            if !red.is_noop() {
-                reduced_cases += 1;
-            }
-            let res = solve_lp_from(&red.lp, &red.lb, &red.ub, &opts).expect("reduced solve");
-            match (&direct.outcome, &res.outcome) {
-                (LpOutcome::Optimal { obj, .. }, LpOutcome::Optimal { x: xr, obj: or }) => {
-                    let lifted_obj = or + red.obj_offset;
-                    assert!(
-                        (lifted_obj - obj).abs() <= 1e-6 * obj.abs().max(1.0),
-                        "seed {seed}: reduced objective {lifted_obj} vs direct {obj}"
-                    );
-                    let (x, basis) = red.postsolve(&lb, &ub, xr, res.basis.as_ref());
-                    certify_lp_rows(&p, &lb, &ub, &x, 1e-6)
-                        .unwrap_or_else(|e| panic!("seed {seed}: postsolve fails certify: {e}"));
-                    if let Some(basis) = basis {
-                        bases_lifted += 1;
-                        let warm = resolve_lp(&p, &lb, &ub, &basis, &opts)
-                            .expect("warm restart from postsolved basis");
-                        if let Some(warm) = warm {
-                            match warm.outcome {
-                                LpOutcome::Optimal { obj: wo, .. } => assert!(
-                                    (wo - obj).abs() <= 1e-6 * obj.abs().max(1.0),
-                                    "seed {seed}: warm objective {wo} vs direct {obj}"
-                                ),
-                                ref other => panic!("seed {seed}: warm restart gave {other:?}"),
-                            }
-                        }
-                    }
-                }
-                (LpOutcome::Infeasible, LpOutcome::Infeasible)
-                | (LpOutcome::Unbounded, LpOutcome::Unbounded) => {}
-                (a, b) => panic!("seed {seed}: direct {a:?} vs reduced {b:?}"),
-            }
-        }
-        // The generator must actually exercise the machinery: most salted
-        // instances reduce, and postsolved bases come back regularly
-        // (many instances reduce to zero rows, where there is no basis
-        // to lift — the ones that keep rows are the interesting cases).
-        assert!(
-            reduced_cases >= 100,
-            "only {reduced_cases} instances reduced"
-        );
-        assert!(bases_lifted >= 25, "only {bases_lifted} bases postsolved");
-    }
-
-    #[test]
-    fn reduce_drops_empty_and_singleton_rows() {
-        // Row 0 is empty (0 ≤ 5 slack-feasible), row 1 pins x0 ≤ 3.
-        let ns = 2;
-        let p = LpProblem::new(
-            ns,
-            vec![-1.0, -1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![10.0, 10.0, f64::INFINITY, f64::INFINITY],
-            vec![vec![(2, 1.0)], vec![(0, 1.0), (3, 1.0)]],
-            vec![5.0, 3.0],
-        );
-        let red = match reduce_lp(&p, &p.lb.clone(), &p.ub.clone()) {
-            LpReduction::Reduced(r) => r,
-            LpReduction::Infeasible => panic!("feasible instance"),
-        };
-        assert_eq!(red.stats.empty_rows, 1);
-        assert_eq!(red.stats.singleton_rows, 1);
-        assert_eq!(red.lp.rows.len(), 0);
-        // With both rows gone the now-unreferenced columns pin to their
-        // cheapest bounds (cost -1 → upper): x0 at the folded bound 3,
-        // x1 at its own bound 10.
-        assert_eq!(red.stats.cols_dropped, 2);
-        let (x, _) = red.postsolve(&p.lb, &p.ub, &[], None);
-        assert_eq!(x, vec![3.0, 10.0]);
-    }
-
-    #[test]
-    fn reduce_detects_conflicting_duplicate_rows() {
-        // x0 + x1 = 5 and x0 + x1 = 7 cannot both hold.
-        let ns = 2;
-        let p = LpProblem::new(
-            ns,
-            vec![1.0, 1.0, 0.0, 0.0],
-            vec![0.0, 0.0, 0.0, 0.0],
-            vec![10.0, 10.0, 0.0, 0.0],
-            vec![
-                vec![(0, 1.0), (1, 1.0), (2, 1.0)],
-                vec![(0, 1.0), (1, 1.0), (3, 1.0)],
-            ],
-            vec![5.0, 7.0],
-        );
-        assert!(matches!(
-            reduce_lp(&p, &p.lb.clone(), &p.ub.clone()),
-            LpReduction::Infeasible
-        ));
-    }
-
-    #[test]
-    fn reduce_substitutes_fixed_columns_into_offset() {
-        // x0 fixed at 2 with cost 3 → offset 6, and its row contribution
-        // moves into the rhs.
-        let ns = 2;
-        let p = LpProblem::new(
-            ns,
-            vec![3.0, 1.0, 0.0],
-            vec![2.0, 0.0, 0.0],
-            vec![2.0, 10.0, f64::INFINITY],
-            vec![vec![(0, 1.0), (1, 1.0), (2, 1.0)]],
-            vec![8.0],
-        );
-        let red = match reduce_lp(&p, &p.lb.clone(), &p.ub.clone()) {
-            LpReduction::Reduced(r) => r,
-            LpReduction::Infeasible => panic!("feasible instance"),
-        };
-        assert_eq!(red.stats.fixed_cols, 1);
-        assert_eq!(red.obj_offset, 6.0);
-        // The substitution leaves `x1 + s = 6`, a singleton row that
-        // folds away in turn; x1 then pins to its cheap bound 0.
-        assert_eq!(red.stats.singleton_rows, 1);
-        assert_eq!(red.lp.rows.len(), 0);
-        let (x, _) = red.postsolve(&p.lb, &p.ub, &[], None);
-        assert_eq!(x, vec![2.0, 0.0]);
-    }
 
     #[test]
     fn tightens_upper_bound_from_le_row() {

@@ -98,25 +98,22 @@ pub struct RootProfile {
     pub presolve_us: u64,
     /// Time the first basis factorization took inside the root LP solve.
     pub first_factor_us: u64,
-    /// Wall-clock of the root LP solve, including cut-round resolves.
+    /// Wall-clock of the first root LP solve (the relaxation before any
+    /// cut is added).
     pub root_lp_us: u64,
-    /// Simplex iterations spent on the root LP, including cut-round
-    /// resolves (these are also included in
-    /// [`Solution::lp_iterations`]).
+    /// Simplex iterations of the first root LP solve. Cut-round
+    /// re-solves are counted in [`cut_lp_iters`](Self::cut_lp_iters);
+    /// both are included in [`Solution::lp_iterations`].
     pub root_lp_iters: u64,
     /// Cut separation rounds that generated at least one cut.
     pub cut_rounds: u64,
     /// Total Gomory + cover cuts appended to the root relaxation.
     pub cuts_added: u64,
-    /// Time spent separating cuts (excluding the resolves they trigger,
-    /// which are counted in [`root_lp_us`](Self::root_lp_us)).
+    /// Wall-clock of the root cut loop: separation plus the dual
+    /// re-solves each round's cuts trigger.
     pub cut_us: u64,
-    /// Rows the LP reduction presolve removed before the root solve
-    /// (empty, redundant, singleton and dominated-duplicate rows).
-    pub reduce_rows: u64,
-    /// Structural columns the LP reduction presolve substituted out before
-    /// the root solve (node-fixed and empty columns).
-    pub reduce_cols: u64,
+    /// Simplex iterations of the cut-round re-solves.
+    pub cut_lp_iters: u64,
     /// Rows rescaled by geometric-mean equilibration (0 when scaling is
     /// disabled or every row already had unit geometric mean).
     pub scale_rows: u64,

@@ -50,7 +50,7 @@ fn random_mixed(n: usize, seed: u64) -> Model {
 fn solve_objective(model: &Model, probing: bool) -> f64 {
     let cfg = BranchConfig {
         probing,
-        // Isolate the presolve: no cuts, deterministic sequential search.
+        // Isolate the presolve: no cuts, a deterministic pool of one.
         cuts: CutMode::Off,
         pricing: Pricing::Devex,
         jobs: 1,
@@ -70,28 +70,21 @@ fn solve_objective_with(model: &Model, cfg: &BranchConfig) -> f64 {
     sol.objective()
 }
 
-/// The LP reduction presolve and equilibration scaling are exact
-/// reformulations: solving with both engaged — which also makes every
-/// branch-and-bound child warm-restart from a *postsolved* basis — must
-/// certify the same objective as the plain solver on the whole
-/// m ∈ {8, 16} roster.
+/// Equilibration scaling is an exact reformulation: solving with it
+/// engaged must certify the same objective as the unscaled solver on the
+/// whole m ∈ {8, 16} roster.
 #[test]
-fn reduction_and_scaling_never_change_certified_objectives() {
+fn scaling_never_changes_certified_objectives() {
     let plain = BranchConfig {
         cuts: CutMode::Off,
         pricing: Pricing::Devex,
         jobs: 1,
         scaling: false,
-        reduce: false,
         ..BranchConfig::default()
     };
-    let engaged = BranchConfig {
-        cuts: CutMode::Off,
-        pricing: Pricing::Devex,
-        jobs: 1,
+    let scaled = BranchConfig {
         scaling: true,
-        reduce: true,
-        ..BranchConfig::default()
+        ..plain.clone()
     };
     for n in [8usize, 16] {
         for seed in 0..8u64 {
@@ -100,10 +93,10 @@ fn reduction_and_scaling_never_change_certified_objectives() {
                 random_mixed(n, 0xBEEF ^ (seed << 8) ^ n as u64),
             ] {
                 let base = solve_objective_with(&model, &plain);
-                let with = solve_objective_with(&model, &engaged);
+                let with = solve_objective_with(&model, &scaled);
                 assert!(
                     (with - base).abs() <= 1e-6,
-                    "{} n={n} seed={seed}: reduced/scaled objective {with} vs plain {base}",
+                    "{} n={n} seed={seed}: scaled objective {with} vs plain {base}",
                     model.name()
                 );
             }

@@ -67,8 +67,8 @@ pub struct ServeOutcome {
     /// and pre-verification records).
     pub verify_us: u64,
     /// Root-stage wall-clock of the winning ILP rung in microseconds:
-    /// model build + presolve + root LP + cut separation (0 for non-ILP
-    /// rungs or pre-root-profile records).
+    /// model build + presolve + root LP + cut loop (0 for non-ILP rungs
+    /// or pre-root-profile records).
     pub root_us: u64,
     /// Simplex iterations of the root LP alone (0 for non-ILP rungs or
     /// pre-root-profile records).

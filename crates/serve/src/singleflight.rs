@@ -100,7 +100,7 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn sequential_runs_do_not_coalesce() {
+    fn back_to_back_runs_do_not_coalesce() {
         let sf = SingleFlight::new();
         let (a, led_a) = sf.run("k", || 1);
         let (b, led_b) = sf.run("k", || 2);

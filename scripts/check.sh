@@ -19,10 +19,10 @@ cargo test -q
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
-echo "==> jobs-matrix solver tests (release: parallel B&B vs sequential)"
+echo "==> jobs-matrix solver tests (release: B&B pool of one vs pools of 2 and 8, pool-of-one determinism)"
 cargo test -q --release --test solver_parallel
 
-echo "==> solver smoke gates (release: basis-reuse pivots > 3x, devex root-LP iters > 1.2x Dantzig, or a cut-changed certified objective fails)"
+echo "==> solver smoke gates (release: basis-reuse pivots > 3x, devex root-LP iters > 1.2x Dantzig, a hypersparse regression, or a cut- or scaling-changed certified objective fails)"
 cargo run -q --release -p gomil-bench --bin solver_scaling -- --quick
 
 echo "==> equivalence smoke gate (release: strict-verify roster, proved/tested tiers)"

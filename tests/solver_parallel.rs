@@ -1,7 +1,8 @@
-//! Jobs-matrix tests for the parallel branch-and-bound engine: the same
-//! model solved with `jobs ∈ {1, 2, 8}` must prove the same objective
-//! (parallelism is a latency knob, never a result knob) and every
-//! returned solution must pass the independent certifier.
+//! Jobs-matrix tests for the branch-and-bound worker pool: the same model
+//! solved with `jobs ∈ {1, 2, 8}` must prove the same objective (the pool
+//! size is a latency knob, never a result knob) and every returned
+//! solution must pass the independent certifier. A pool of one must also
+//! be deterministic.
 //!
 //! Equality is only meaningful for solves that *prove* optimality — a
 //! time- or node-limited search may legitimately return different
@@ -215,6 +216,32 @@ fn telemetry_is_coherent_at_every_job_count() {
         let last = timeline.last().unwrap();
         assert!((last.objective - sol.objective()).abs() < 1e-9);
     }
+}
+
+/// A pool of one is deterministic: two `jobs = 1` solves of a model that
+/// branches (joint m=3 AND explores over a hundred nodes) visit the same
+/// nodes, spend the same simplex iterations, and return the same values.
+#[test]
+fn a_pool_of_one_is_deterministic() {
+    let cfg = GomilConfig::default();
+    let jm = build_joint_model(&Bcv::and_ppg(3), &cfg, None).expect("m=3 has a joint model");
+    let solve = || {
+        let mut seeds = jm.seeds.clone().into_iter();
+        let base = BranchConfig {
+            initial: seeds.next(),
+            extra_starts: seeds.collect(),
+            ..BranchConfig::default()
+        };
+        solve_jobs(&jm.model, &base, 1)
+    };
+    let (a, b) = (solve(), solve());
+    assert!(
+        a.is_optimal() && a.nodes_branched() > 0,
+        "must prove by branching"
+    );
+    assert_eq!(a.nodes(), b.nodes());
+    assert_eq!(a.lp_iterations(), b.lp_iterations());
+    assert_eq!(a.values(), b.values());
 }
 
 /// Regression for the NaN ordering bug: a NaN cost coefficient must
