@@ -851,14 +851,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .join(",\n");
 
     let commit = git_commit();
-    let args_line = args.join(" ").replace(['"', '\\'], "'");
     let joint_ratio_json = match joint_m32_ratio {
         Some(r) => format!("{r:.3}"),
         None => "null".to_string(),
     };
     let json = format!(
         "{{\n  \"bench\": \"solver_scaling\",\n  \"commit\": \"{commit}\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"config\": {{\"jobs\": {par_jobs}, \"ct_nodes\": {ct_nodes}, \"joint_seconds\": {joint_secs}, \"reuse_seconds\": {reuse_secs}, \"root_seconds\": {root_secs}, \"args\": \"{args_line}\"}},\n  \
+         \"config\": {{\"jobs\": {par_jobs}, \"ct_nodes\": {ct_nodes}, \"joint_seconds\": {joint_secs}, \"reuse_seconds\": {reuse_secs}, \"root_seconds\": {root_secs}}},\n  \
          \"jobs_compared\": [1, {par_jobs}],\n  \
          \"note\": \"pool of one vs pool of N: one search engine, jobs = 1 runs a single worker on the calling thread and jobs = N adds N - 1 helper threads; wall-clock speedup from a pool of N requires host_cpus > 1, and on a single-core host it matches the pool of one within scheduling overhead\",\n  \
          \"basis_reuse\": {{\n    \

@@ -63,3 +63,15 @@ fn unknown_subcommand_fails_with_usage() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
 }
+
+#[test]
+fn a_malformed_flag_value_fails_naming_the_flag() {
+    let out = gomil(&["gen", "4", "--cuts", "bogus"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout.is_empty(),
+        "no design for a rejected command line"
+    );
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(log.contains("--cuts") && log.contains("bogus"), "{log}");
+}
