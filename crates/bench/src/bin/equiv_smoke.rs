@@ -13,7 +13,8 @@
 //! cargo run --release -p gomil-bench --bin equiv_smoke [-- --quick]
 //! ```
 //!
-//! `--quick` trims the roster to one proved and one tested width (for
+//! `--quick` trims the roster to m = 8 AND and m = 12 MBE proved (the
+//! latter takes the threaded, signed sweep) and one tested width (for
 //! `scripts/check.sh` and CI smoke); the full run sweeps both PPGs and
 //! the m = 16 exhaustive sweep (2^32 products).
 
@@ -37,6 +38,7 @@ fn main() -> ExitCode {
     let roster: Vec<SmokeCase> = if quick {
         vec![
             case(8, PpgKind::And, VerdictTier::Proved),
+            case(12, PpgKind::Booth4, VerdictTier::Proved),
             case(32, PpgKind::And, VerdictTier::Tested),
         ]
     } else {

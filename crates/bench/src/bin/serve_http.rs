@@ -4,20 +4,29 @@
 //! admission bound. Merges an `http` section into `BENCH_serve.json`
 //! (replacing any previous one; the rest of the file is untouched).
 //!
+//! The section is stamped with the commit, the host's CPU count and the
+//! parsed flags; a malformed flag value is an error, never a default.
+//!
 //! Usage: `cargo run --release -p gomil-bench --bin serve_http --
 //! [--clients N] [--requests N] [--burst N] [--json FILE]`
 
 use gomil::{serve_service, GomilConfig, ServeConfig};
+use gomil_bench::git_commit;
 use gomil_httpd::{client, HttpdConfig, Server};
 use std::sync::Arc;
 use std::time::Instant;
 
-fn flag(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// The value after `name`, or `default` when the flag is absent.
+fn flag(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    match args.iter().position(|a| a == name) {
+        None => Ok(default),
+        Some(i) => {
+            let value = args.get(i + 1).map_or("", String::as_str);
+            value
+                .parse()
+                .map_err(|_| format!("{name}: expected a count, got '{value}'"))
+        }
+    }
 }
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
@@ -35,9 +44,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .position(|a| a == "--json")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let clients = flag(&args, "--clients", 8).max(1);
-    let per_client = flag(&args, "--requests", 25).max(1);
-    let burst = flag(&args, "--burst", 24).max(1);
+    let clients = flag(&args, "--clients", 8)?.max(1);
+    let per_client = flag(&args, "--requests", 25)?.max(1);
+    let burst = flag(&args, "--burst", 24)?.max(1);
+    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     // `fast()` keeps individual solves small: the benchmark measures the
     // HTTP and admission path, not one giant branch and bound.
@@ -146,13 +156,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let report = svc.report();
     println!("{report}");
 
+    let commit = git_commit();
     let section = format!(
-        "\"http\": {{\n    \"clients\": {clients},\n    \"requests_per_client\": {per_client},\n    \
+        "\"http\": {{\n    \"commit\": \"{commit}\",\n    \"host_cpus\": {host_cpus},\n    \
+         \"clients\": {clients},\n    \"requests_per_client\": {per_client},\n    \
+         \"burst_clients\": {burst},\n    \
          \"max_inflight\": {max_inflight},\n    \"max_queue\": {max_queue},\n    \
          \"ok\": {},\n    \"errors\": {errors},\n    \
          \"p50_ms\": {p50},\n    \"p99_ms\": {p99},\n    \
          \"throughput_rps\": {throughput},\n    \
-         \"burst_clients\": {burst},\n    \"burst_served\": {burst_ok},\n    \
+         \"burst_served\": {burst_ok},\n    \
          \"burst_shed\": {shed},\n    \"burst_shed_rate\": {shed_rate},\n    \
          \"burst_worst_admitted_ms\": {burst_worst_ms},\n    \
          \"server_shed_total\": {server_shed}\n  }}",

@@ -46,7 +46,7 @@
 
 use gomil::{add_prefix_constraints, build_joint_model, Bcv, CtIlp, GomilConfig, LeafB};
 use gomil_arith::dadda_schedule;
-use gomil_bench::timed;
+use gomil_bench::{git_commit, timed};
 use gomil_ilp::{
     BranchConfig, Cmp, CutMode, LinExpr, Model, Pricing, RootProfile, Sense, Solution,
 };
@@ -517,20 +517,6 @@ fn quick_scaling_safety_gate() -> Result<(), String> {
         );
     }
     Ok(())
-}
-
-/// The commit the bench was built from (`git rev-parse HEAD`), or
-/// `"unknown"` outside a git checkout.
-fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 /// One `root_profile` section entry: the widest models solved under a root

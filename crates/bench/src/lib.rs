@@ -68,6 +68,21 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (v, t0.elapsed())
 }
 
+/// The commit the bench was built from (`git rev-parse HEAD`), or
+/// `"unknown"` outside a git checkout: the stamp the bench binaries put
+/// in the JSON they write.
+pub fn git_commit() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// Parses word lengths from argv, defaulting to the paper's 8/16/32/64.
 pub fn word_lengths_from_args() -> Vec<usize> {
     let ms: Vec<usize> = std::env::args()

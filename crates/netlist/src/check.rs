@@ -129,7 +129,7 @@ impl Netlist {
     }
 
     /// Returns a net on a combinational cycle, if one exists.
-    fn find_cycle(&self) -> Option<usize> {
+    pub(crate) fn find_cycle(&self) -> Option<usize> {
         const WHITE: u8 = 0;
         const GRAY: u8 = 1;
         const BLACK: u8 = 2;

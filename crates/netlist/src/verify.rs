@@ -4,8 +4,8 @@
 //! machine-checkable [`EquivVerdict`] against the `a × b` reference
 //! (two's-complement for signed partial-product encodings):
 //!
-//! * **Proved** — exhaustive 64-lane bit-parallel equivalence over all
-//!   `4^m` operand pairs, feasible up to `m = 16` in a release build;
+//! * **Proved** — exhaustive bit-parallel equivalence over all `4^m`
+//!   operand pairs, feasible up to `m = 16` in a release build;
 //! * **Tested** — for wider designs, a layered check: structural
 //!   invariants, corner vectors (0, 1, ±max, sign boundaries, alternating
 //!   bit patterns), and a seeded random sweep with a configurable budget;
@@ -14,19 +14,21 @@
 //! * **Skipped** — verification was deliberately not run (approximate
 //!   designs, `--verify off`), with the reason recorded.
 //!
-//! The exhaustive kernel compiles the netlist into a flat step list once,
-//! packs 64 operand pairs per simulation pass, and compares against the
-//! reference products through a 64×64 bit transpose, so the whole `m = 8`
-//! space (65 536 pairs) verifies in ~1 k passes.
+//! Both simulating tiers share one kernel: the netlist is compiled into a
+//! flat step list once, and each pass evaluates it on 512 operand pairs
+//! (eight 64-bit words per net). The exhaustive tier enumerates pair
+//! `x + (y << m)` in lane order, so the whole `m = 8` space (65 536 pairs)
+//! takes 128 passes; its reference products are bit-sliced, and at
+//! `m ≥ 6` each word's product comes from the same x-word's product at
+//! `y − 1` by one bit-sliced add, so no multiply or transpose is on the
+//! hot path. The counterexample is always the lowest mismatching pair.
 
-use crate::check::CheckIssue;
 use crate::gate::GateKind;
 use crate::netlist::Netlist;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How much verification the pipeline runs on each emitted design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -301,10 +303,8 @@ fn structural_failure(nl: &Netlist, m: usize) -> Option<EquivVerdict> {
     if m == 0 || m > 64 {
         return fail(format!("unsupported word length m={m}"));
     }
-    for issue in nl.check() {
-        if let CheckIssue::CombinationalCycle { net } = issue {
-            return fail(format!("combinational cycle through net n{net}"));
-        }
+    if let Some(net) = nl.find_cycle() {
+        return fail(format!("combinational cycle through net n{net}"));
     }
     let (a, b) = match operand_ports(nl) {
         Some(ports) => ports,
@@ -362,6 +362,14 @@ fn product_port(nl: &Netlist) -> Option<usize> {
 // loop touches no ports, no matches on Input, and a single reused buffer.
 // ---------------------------------------------------------------------
 
+/// Words per simulated net: each pass evaluates `64 · W` operand pairs.
+const W: usize = 8;
+/// Operand pairs per pass.
+const LANES: u64 = 64 * W as u64;
+
+/// One net's value across the `64 · W` lanes of a pass.
+type Word = [u64; W];
+
 struct Compiled {
     /// `(kind, in0, in1, in2, out)` for every non-input cell, in order.
     steps: Vec<(GateKind, u32, u32, u32, u32)>,
@@ -400,23 +408,51 @@ impl Compiled {
         }
     }
 
-    /// One 64-lane pass over the step list. `values` must have
-    /// `num_nets` entries with the input-bit words already written.
+    /// A zeroed value buffer, one [`Word`] per net.
+    fn buffer(&self) -> Vec<Word> {
+        vec![[0; W]; self.num_nets]
+    }
+
+    /// Writes operand bit `q` (`a[q]` for `q < m`, `b[q − m]` above) of
+    /// every lane, via `word(q)`, then runs one pass over the step list.
     #[inline]
-    fn run(&self, values: &mut [u64]) {
-        for &(kind, i0, i1, i2, out) in &self.steps {
-            let ins = [
-                values[i0 as usize],
-                values[i1 as usize],
-                values[i2 as usize],
-            ];
-            values[out as usize] = kind.eval(ins);
+    fn run(&self, values: &mut [Word], word: impl Fn(usize) -> Word) {
+        for (q, &net) in self.a_bits.iter().chain(&self.b_bits).enumerate() {
+            values[net as usize] = word(q);
         }
+        for &(kind, i0, i1, i2, out) in &self.steps {
+            let v: &[Word] = values;
+            // One arm per kind with a constant `eval`, so every lane loop is
+            // straight-line code that loads only the pins the gate reads.
+            macro_rules! lanes {
+                ($($kind:ident),*) => {
+                    match kind {
+                        $(GateKind::$kind => std::array::from_fn(|k| {
+                            let pin = |i: u32| v[i as usize][k];
+                            GateKind::$kind.eval([pin(i0), pin(i1), pin(i2)])
+                        }),)*
+                    }
+                };
+            }
+            values[out as usize] = lanes!(
+                Input, Const0, Const1, Buf, Not, And2, Or2, Nand2, Nor2, Xor2, Xnor2, Mux2, Maj3,
+                Ao21
+            );
+        }
+    }
+
+    /// The product bus of lane `lane` in word `k`, after a [`run`](Self::run).
+    fn product(&self, values: &[Word], k: usize, lane: u32) -> u128 {
+        self.p_bits
+            .iter()
+            .enumerate()
+            .map(|(j, &net)| (((values[net as usize][k] >> lane) & 1) as u128) << j)
+            .fold(0, |acc, bit| acc | bit)
     }
 }
 
 // ---------------------------------------------------------------------
-// Exhaustive tier: all 4^m pairs, 64 per pass.
+// Exhaustive tier: all 4^m pairs, 64·W per pass.
 // ---------------------------------------------------------------------
 
 /// Word `i` has bit pattern `(lane >> i) & 1` across the 64 lanes: the six
@@ -436,58 +472,53 @@ fn splat_bit(bit: u64) -> u64 {
     (bit & 1).wrapping_neg()
 }
 
+/// Sweeps below this many 64-lane words run on the calling thread alone.
+const THREADED_WORDS: u64 = 4096;
+
 fn exhaustive(nl: &Netlist, m: usize, signed: bool, cfg: &VerifyConfig) -> EquivVerdict {
     let compiled = Compiled::new(nl);
     let total: u64 = 1u64 << (2 * m); // operand pairs, ≤ 2^32
-    let passes: u64 = total.div_ceil(64);
-    let jobs = if cfg.jobs == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        cfg.jobs
-    };
+    let passes = total.div_ceil(LANES);
     // Worker threads only pay off when there is real work to split.
-    let jobs = if passes >= 4096 {
-        jobs.min(passes as usize)
-    } else {
+    let jobs = if total / 64 < THREADED_WORDS {
         1
-    };
+    } else if cfg.jobs == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get() as u64)
+    } else {
+        cfg.jobs as u64
+    }
+    .min(passes);
 
-    let found = AtomicBool::new(false);
-    let first: Mutex<Option<(u64, Counterexample)>> = Mutex::new(None);
-    let chunk = passes.div_ceil(jobs as u64);
-    std::thread::scope(|scope| {
-        for w in 0..jobs {
-            let start = w as u64 * chunk;
-            let end = (start + chunk).min(passes);
-            let compiled = &compiled;
-            let found = &found;
-            let first = &first;
-            scope.spawn(move || {
-                let mut values = vec![0u64; compiled.num_nets];
-                for pass in start..end {
-                    if pass % 1024 == 0 && found.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if let Some(cex) =
-                        exhaustive_pass(compiled, m, signed, total, pass, &mut values)
-                    {
-                        found.store(true, Ordering::Relaxed);
-                        let mut slot = first.lock().unwrap();
-                        // Keep the lowest-numbered mismatch so the verdict
-                        // is deterministic regardless of thread timing.
-                        if slot.is_none() || slot.as_ref().unwrap().0 > pass {
-                            *slot = Some((pass, cex));
-                        }
-                        return;
-                    }
-                }
-            });
-        }
+    // The lowest pass any worker has failed at: a worker gives up only
+    // once it is past it, so the lowest mismatch overall is always found.
+    // Relaxed suffices, as it publishes no other data: each worker's
+    // counterexample comes back through its join.
+    let lowest = AtomicU64::new(u64::MAX);
+    let chunk = passes.div_ceil(jobs);
+    let worker = |w: u64| {
+        let start = (w * chunk).min(passes);
+        sweep(
+            &compiled,
+            m,
+            signed,
+            start..(start + chunk).min(passes),
+            &lowest,
+        )
+    };
+    // `jobs − 1` helper threads plus one worker on the calling thread, so
+    // a one-worker sweep spawns nothing.
+    let found = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..jobs).map(|w| scope.spawn(move || worker(w))).collect();
+        let mut found = vec![worker(0)];
+        found.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("verify worker")),
+        );
+        found
     });
 
-    match first.into_inner().unwrap() {
+    match found.into_iter().flatten().min_by_key(|&(v, _)| v) {
         Some((_, cex)) => EquivVerdict::Failed {
             reason: "product mismatch".into(),
             counterexample: Some(cex),
@@ -496,86 +527,156 @@ fn exhaustive(nl: &Netlist, m: usize, signed: bool, cfg: &VerifyConfig) -> Equiv
     }
 }
 
-/// Simulates operand pairs `[pass*64, pass*64+64) ∩ [0, total)` and
-/// returns the first mismatch in the pass, if any.
-fn exhaustive_pass(
+/// Simulates passes `range` in order and returns the lowest mismatching
+/// pair `x + (y << m)` in them, with its counterexample. Stops early once
+/// another worker has failed at a lower pass.
+fn sweep(
     c: &Compiled,
     m: usize,
     signed: bool,
-    total: u64,
-    pass: u64,
-    values: &mut [u64],
-) -> Option<Counterexample> {
-    let base = pass * 64;
-    let lanes = (total - base).min(64) as usize;
-    let mask = (1u64 << m) - 1;
-    if m >= 6 && lanes == 64 {
-        // Lane `i` enumerates pair `base + i`: x's low six bits are the
-        // lane counter (base is 64-aligned), everything else is constant
-        // across the pass.
-        for (i, &net) in c.a_bits.iter().enumerate() {
-            values[net as usize] = if i < 6 {
-                LOW_PATTERNS[i]
-            } else {
-                splat_bit(base >> i)
-            };
+    range: std::ops::Range<u64>,
+    lowest: &AtomicU64,
+) -> Option<(u64, Counterexample)> {
+    let total: u64 = 1u64 << (2 * m);
+    let mut values = c.buffer();
+    let mut reference = Reference::new(m, signed, range.start * W as u64);
+    for pass in range {
+        if pass > lowest.load(Ordering::Relaxed) {
+            break;
         }
-        for (i, &net) in c.b_bits.iter().enumerate() {
-            values[net as usize] = splat_bit(base >> (m + i));
-        }
-    } else {
-        for (i, &net) in c.a_bits.iter().enumerate() {
-            let mut w = 0u64;
-            for lane in 0..lanes {
-                w |= (((base + lane as u64) >> i) & 1) << lane;
+        // Word `k` holds pairs `base + 64k + lane`: bits below six are the
+        // lane counter, every higher bit is constant across the word.
+        let base = pass * LANES;
+        c.run(&mut values, |q| {
+            std::array::from_fn(|k| match LOW_PATTERNS.get(q) {
+                Some(&pattern) => pattern,
+                None => splat_bit((base + 64 * k as u64) >> q),
+            })
+        });
+        for k in 0..W {
+            let first = base + 64 * k as u64;
+            if first >= total {
+                break;
             }
-            values[net as usize] = w;
-        }
-        for (i, &net) in c.b_bits.iter().enumerate() {
-            let mut w = 0u64;
-            for lane in 0..lanes {
-                w |= (((base + lane as u64) >> (m + i)) & 1) << lane;
+            let lanes = total - first; // < 64 only when m ≤ 2
+            let lane_mask = if lanes >= 64 { !0 } else { (1u64 << lanes) - 1 };
+            let want = reference.word(first >> 6);
+            let bad = c
+                .p_bits
+                .iter()
+                .zip(want)
+                .fold(0, |bad, (&net, &w)| bad | (values[net as usize][k] ^ w))
+                & lane_mask;
+            if bad != 0 {
+                lowest.fetch_min(pass, Ordering::Relaxed);
+                let lane = bad.trailing_zeros();
+                let v = first + lane as u64;
+                let (x, y) = (v & ((1 << m) - 1), v >> m);
+                let want = expected_u64(x, y, m, signed) & (u64::MAX >> (64 - 2 * m));
+                return Some((
+                    v,
+                    Counterexample {
+                        x: x as u128,
+                        y: y as u128,
+                        got: c.product(&values, k, lane),
+                        want: want as u128,
+                    },
+                ));
             }
-            values[net as usize] = w;
         }
     }
-    c.run(values);
+    None
+}
 
-    // Expected products, one row per lane, bit-sliced to per-bit words.
-    let out_mask = (1u64 << (2 * m)) - 1;
-    let mut rows = [0u64; 64];
-    for (lane, row) in rows.iter_mut().enumerate().take(lanes) {
-        let v = base + lane as u64;
-        let (x, y) = (v & mask, v >> m);
-        *row = expected_u64(x, y, m, signed) & out_mask;
-    }
-    transpose64(&mut rows);
+/// Bit-sliced reference products for the exhaustive sweep, one 64-lane
+/// word at a time: slice `j` holds bit `j` of the `2m`-bit product in
+/// every lane.
+///
+/// At `m ≥ 6` word `g` covers the x-word `t = g mod 2^(m−6)` (x values
+/// `64t + lane`) at the single operand `y = g >> (m−6)`, and the next
+/// visit of `t` is at `y + 1`. The product there is the last one plus
+/// `sx` (minus `sx << m` as a signed `y` wraps from `2^(m−1) − 1` to
+/// `−2^(m−1)`): a bit-sliced ripple add of `2m` slices instead of 64
+/// multiplies and a 64×64 transpose. The first visit of each `t` in a
+/// sweep, and every word at `m < 6`, is computed directly.
+struct Reference {
+    m: usize,
+    signed: bool,
+    /// First word of the sweep: words below `first + 2^(m−6)` are first
+    /// visits.
+    first: u64,
+    /// `acc[t]`: the slices of x-word `t` at its last visited `y`.
+    acc: Vec<[u64; 32]>,
+}
 
-    let mut bad = 0u64;
-    let lane_mask = if lanes == 64 {
-        !0u64
-    } else {
-        (1u64 << lanes) - 1
-    };
-    for (j, &net) in c.p_bits.iter().enumerate() {
-        bad |= (values[net as usize] ^ rows[j]) & lane_mask;
+impl Reference {
+    fn new(m: usize, signed: bool, first: u64) -> Reference {
+        let x_words = if m >= 6 { 1 << (m - 6) } else { 1 };
+        Reference {
+            m,
+            signed,
+            first,
+            acc: vec![[0; 32]; x_words],
+        }
     }
-    if bad == 0 {
-        return None;
+
+    /// The `2m` product slices of word `g`; words must come in increasing
+    /// order from `first`.
+    fn word(&mut self, g: u64) -> &[u64] {
+        let (m, n) = (self.m, 2 * self.m);
+        if m < 6 {
+            self.acc[0] = self.transposed(g);
+            return &self.acc[0][..n];
+        }
+        let x_words = self.acc.len() as u64;
+        let t = (g % x_words) as usize;
+        if g < self.first + x_words {
+            self.acc[t] = self.transposed(g);
+            return &self.acc[t][..n];
+        }
+        // `sx` mod 2^2m across the x-word: the lane counter below bit six,
+        // `t`'s bits up to `m`, the sign above when signed.
+        let mut sx = [0u64; 32];
+        sx[..6].copy_from_slice(&LOW_PATTERNS);
+        for (j, slice) in sx.iter_mut().enumerate().take(m).skip(6) {
+            *slice = splat_bit((t >> (j - 6)) as u64);
+        }
+        if self.signed {
+            let sign = sx[m - 1];
+            sx[m..n].fill(sign);
+        }
+        let acc = &mut self.acc[t];
+        let mut carry = 0;
+        for j in 0..n {
+            let (a, b) = (acc[j], sx[j]);
+            acc[j] = a ^ b ^ carry;
+            carry = (a & b) | (carry & (a ^ b));
+        }
+        if self.signed && g / x_words == 1 << (m - 1) {
+            let mut borrow = 0;
+            for j in m..n {
+                let (a, b) = (acc[j], sx[j - m]);
+                acc[j] = a ^ b ^ borrow;
+                borrow = (!a & (b | borrow)) | (b & borrow);
+            }
+        }
+        &acc[..n]
     }
-    let lane = bad.trailing_zeros() as u64;
-    let v = base + lane;
-    let (x, y) = (v & mask, v >> m);
-    let mut got = 0u128;
-    for (j, &net) in c.p_bits.iter().enumerate() {
-        got |= ((values[net as usize] as u128 >> lane) & 1) << j;
+
+    /// Word `g`'s slices the direct way: 64 multiplies and a transpose.
+    fn transposed(&self, g: u64) -> [u64; 32] {
+        let m = self.m;
+        let total = 1u64 << (2 * m);
+        let mut rows = [0u64; 64];
+        for (lane, row) in rows.iter_mut().enumerate() {
+            let v = g * 64 + lane as u64;
+            if v < total {
+                *row = expected_u64(v & ((1 << m) - 1), v >> m, m, self.signed) & (total - 1);
+            }
+        }
+        transpose64(&mut rows);
+        std::array::from_fn(|j| rows[j])
     }
-    Some(Counterexample {
-        x: x as u128,
-        y: y as u128,
-        got,
-        want: (expected_u64(x, y, m, signed) & out_mask) as u128,
-    })
 }
 
 /// Reference product for `m ≤ 16`: fits comfortably in a `u64`.
@@ -671,53 +772,31 @@ fn sampled(nl: &Netlist, m: usize, signed: bool, cfg: &VerifyConfig) -> EquivVer
         pairs.push((rng.gen::<u128>() & mask, rng.gen::<u128>() & mask));
     }
 
-    let vectors = pairs.len() as u64;
-    let mut values = vec![0u64; compiled.num_nets];
-    for chunk in pairs.chunks(64) {
-        if let Some(cex) = sampled_pass(&compiled, m, signed, chunk, &mut values) {
-            return EquivVerdict::Failed {
-                reason: "product mismatch".into(),
-                counterexample: Some(cex),
-            };
+    let mut values = compiled.buffer();
+    for chunk in pairs.chunks(LANES as usize) {
+        // Lane `64k + i` of the pass simulates `chunk[64k + i]`.
+        compiled.run(&mut values, |q| {
+            let mut word = [0u64; W];
+            for (lane, &(x, y)) in chunk.iter().enumerate() {
+                let bit = if q < m { x >> q } else { y >> (q - m) };
+                word[lane / 64] |= ((bit & 1) as u64) << (lane % 64);
+            }
+            word
+        });
+        for (lane, &(x, y)) in chunk.iter().enumerate() {
+            let got = compiled.product(&values, lane / 64, (lane % 64) as u32);
+            let want = expected_u128(x, y, m, signed);
+            if got != want {
+                return EquivVerdict::Failed {
+                    reason: "product mismatch".into(),
+                    counterexample: Some(Counterexample { x, y, got, want }),
+                };
+            }
         }
     }
-    EquivVerdict::Tested { vectors }
-}
-
-fn sampled_pass(
-    c: &Compiled,
-    m: usize,
-    signed: bool,
-    chunk: &[(u128, u128)],
-    values: &mut [u64],
-) -> Option<Counterexample> {
-    for (i, &net) in c.a_bits.iter().enumerate() {
-        let mut w = 0u64;
-        for (lane, &(x, _)) in chunk.iter().enumerate() {
-            w |= (((x >> i) & 1) as u64) << lane;
-        }
-        values[net as usize] = w;
+    EquivVerdict::Tested {
+        vectors: pairs.len() as u64,
     }
-    for (i, &net) in c.b_bits.iter().enumerate() {
-        let mut w = 0u64;
-        for (lane, &(_, y)) in chunk.iter().enumerate() {
-            w |= (((y >> i) & 1) as u64) << lane;
-        }
-        values[net as usize] = w;
-    }
-    c.run(values);
-
-    for (lane, &(x, y)) in chunk.iter().enumerate() {
-        let mut got = 0u128;
-        for (j, &net) in c.p_bits.iter().enumerate() {
-            got |= (((values[net as usize] >> lane) & 1) as u128) << j;
-        }
-        let want = expected_u128(x, y, m, signed);
-        if got != want {
-            return Some(Counterexample { x, y, got, want });
-        }
-    }
-    None
 }
 
 /// Reference product for any `m ≤ 64` (2m-bit result fits in `u128`).
@@ -775,6 +854,185 @@ mod tests {
         }
         nl.add_output("p", acc);
         nl
+    }
+
+    /// A signed `m`-bit multiplier: modified Baugh-Wooley partial products
+    /// (NAND on the mixed-sign terms, plus `2^m + 2^(2m−1)`), reduced
+    /// column by column with full and half adders.
+    fn baugh_wooley(m: usize) -> Netlist {
+        let mut nl = Netlist::new(format!("bw{m}"));
+        let a = nl.add_input("a", m);
+        let b = nl.add_input("b", m);
+        let mut cols = vec![Vec::new(); 2 * m];
+        for i in 0..m {
+            for j in 0..m {
+                let pp = if (i == m - 1) != (j == m - 1) {
+                    nl.nand(a[i], b[j])
+                } else {
+                    nl.and(a[i], b[j])
+                };
+                cols[i + j].push(pp);
+            }
+        }
+        let one = nl.const1();
+        cols[m].push(one);
+        cols[2 * m - 1].push(one);
+        let mut p = Vec::with_capacity(2 * m);
+        for c in 0..2 * m {
+            while cols[c].len() > 1 {
+                let (x, y) = (cols[c].pop().unwrap(), cols[c].pop().unwrap());
+                let (sum, carry) = match cols[c].pop() {
+                    Some(z) => nl.full_adder(x, y, z),
+                    None => nl.half_adder(x, y),
+                };
+                cols[c].push(sum);
+                if c + 1 < 2 * m {
+                    cols[c + 1].push(carry);
+                }
+            }
+            let bit = match cols[c].pop() {
+                Some(bit) => bit,
+                None => nl.const0(),
+            };
+            p.push(bit);
+        }
+        nl.add_output("p", p);
+        nl
+    }
+
+    /// Single-gate faults: up to `n` cells, spread over the netlist, each
+    /// with its kind swapped for another of the same arity.
+    fn faults(nl: &Netlist, n: usize) -> Vec<(usize, GateKind)> {
+        use GateKind::*;
+        let swapped = |kind| match kind {
+            Input => None,
+            Const0 => Some(Const1),
+            Const1 => Some(Const0),
+            Buf => Some(Not),
+            Not => Some(Buf),
+            And2 => Some(Or2),
+            Or2 => Some(And2),
+            Nand2 => Some(Nor2),
+            Nor2 => Some(Nand2),
+            Xor2 => Some(Xnor2),
+            Xnor2 => Some(Xor2),
+            Mux2 | Ao21 => Some(Maj3),
+            Maj3 => Some(Mux2),
+        };
+        let all: Vec<(usize, GateKind)> = nl
+            .cells()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, c)| swapped(c.kind).map(|k| (i, k)))
+            .collect();
+        let step = all.len().div_ceil(n).max(1);
+        all.into_iter().step_by(step).collect()
+    }
+
+    /// The lowest pair `x + (y << m)` on which `nl` disagrees with the
+    /// reference product, found one `eval_ints` call at a time.
+    fn brute_force(nl: &Netlist, m: usize, signed: bool) -> Option<Counterexample> {
+        let mask = (1u128 << m) - 1;
+        (0..1u128 << (2 * m)).find_map(|v| {
+            let (x, y) = (v & mask, v >> m);
+            let got = nl.eval_ints(&[x, y], "p");
+            let want = expected_u128(x, y, m, signed);
+            (got != want).then_some(Counterexample { x, y, got, want })
+        })
+    }
+
+    #[test]
+    fn exhaustive_verdicts_match_a_brute_force_scan_under_single_gate_faults() {
+        for m in 2..=6 {
+            for (nl, signed) in [(array_mul(m), false), (baugh_wooley(m), true)] {
+                let clean = verify_multiplier(&nl, m, signed, &VerifyConfig::fast());
+                assert_eq!(
+                    clean,
+                    EquivVerdict::Proved {
+                        vectors: 1 << (2 * m)
+                    }
+                );
+                for (idx, kind) in faults(&nl, 8) {
+                    let mut bad = nl.clone();
+                    bad.inject_cell_kind(idx, kind);
+                    let want = match brute_force(&bad, m, signed) {
+                        Some(cex) => EquivVerdict::Failed {
+                            reason: "product mismatch".into(),
+                            counterexample: Some(cex),
+                        },
+                        None => EquivVerdict::Proved {
+                            vectors: 1 << (2 * m),
+                        },
+                    };
+                    let got = verify_multiplier(&bad, m, signed, &VerifyConfig::fast());
+                    assert_eq!(got, want, "{} with cell {idx} → {kind}", nl.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_sweeps_report_the_same_lowest_counterexample() {
+        // m = 9 is the narrowest threaded sweep, and the signed design
+        // crosses the y wrap at 2^8 in every x-word.
+        let m = 9;
+        let verdicts = |nl: &Netlist| {
+            [1, 2, 3].map(|jobs| {
+                let cfg = VerifyConfig {
+                    exhaustive_limit: m,
+                    jobs,
+                    ..VerifyConfig::fast()
+                };
+                verify_multiplier(nl, m, true, &cfg)
+            })
+        };
+        let nl = baugh_wooley(m);
+        for v in verdicts(&nl) {
+            assert_eq!(v, EquivVerdict::Proved { vectors: 1 << 18 });
+        }
+        let mut corrupted: Vec<(String, Netlist)> = faults(&nl, 6)
+            .into_iter()
+            .map(|(idx, kind)| {
+                let mut bad = nl.clone();
+                bad.inject_cell_kind(idx, kind);
+                (format!("cell {idx} → {kind}"), bad)
+            })
+            .collect();
+        // a[8]·b[8] rewired to b[8]·b[8] fires only once y ≥ 2^8, so at
+        // three workers the top one fails first and the middle one must
+        // still sweep on to its own, lower mismatch at (0, 256).
+        let (a, b) = (nl.inputs()[0].bits[m - 1], nl.inputs()[1].bits[m - 1]);
+        let top = nl
+            .cells()
+            .iter()
+            .position(|c| c.kind == GateKind::And2 && c.inputs[..2] == [a, b])
+            .expect("the sign × sign partial product");
+        let mut bad = nl.clone();
+        bad.inject_cell_input(top, 0, b);
+        corrupted.push(("a[8] rewired to b[8]".into(), bad));
+
+        for (label, bad) in &corrupted {
+            let [one, two, three] = verdicts(bad);
+            let cex = match &one {
+                EquivVerdict::Failed {
+                    counterexample: Some(cex),
+                    ..
+                } => *cex,
+                other => panic!("{label}: expected a counterexample, got {other:?}"),
+            };
+            assert_eq!(bad.eval_ints(&[cex.x, cex.y], "p"), cex.got, "{label}");
+            assert_eq!(one, two, "{label}");
+            assert_eq!(one, three, "{label}");
+        }
+        let rewired = &corrupted.last().unwrap().1;
+        let cex = match verify_multiplier(rewired, m, true, &VerifyConfig::strict()) {
+            EquivVerdict::Failed {
+                counterexample: Some(cex),
+                ..
+            } => cex,
+            other => panic!("expected a counterexample, got {other:?}"),
+        };
+        assert_eq!((cex.x, cex.y), (0, 256));
     }
 
     #[test]

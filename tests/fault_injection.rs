@@ -3,8 +3,9 @@
 //! test suite that can only pass is not a test suite.
 
 use gomil::{
-    build_gomil, build_gomil_truncated, GomilConfig, GomilError, MultiplierBuild, PpgKind, Rung,
-    RungOutcome, VerdictTier, VerifyConfig, VerifyMode,
+    build_gomil, build_gomil_truncated, verify_multiplier, Counterexample, EquivVerdict,
+    GomilConfig, GomilError, MultiplierBuild, PpgKind, Rung, RungOutcome, VerdictTier,
+    VerifyConfig, VerifyMode,
 };
 use gomil_arith::{and_ppg, Bcv, CompressionSchedule, StageCounts};
 use gomil_ilp::{certify_values, CertifyError, Cmp, LinExpr, Model, Sense};
@@ -248,4 +249,80 @@ fn a_single_flipped_gate_is_caught_with_a_replayable_counterexample() {
     let msg = err.to_string();
     assert!(msg.contains('×'), "{msg}");
     assert!(msg.contains("netlist produced"), "{msg}");
+}
+
+/// Up to `n` single-gate faults spread over the netlist: each swaps one
+/// cell's kind for another of the same arity.
+fn single_gate_faults(nl: &Netlist, n: usize) -> Vec<(usize, GateKind)> {
+    use GateKind::*;
+    let swapped = |kind| match kind {
+        Input => None,
+        Const0 => Some(Const1),
+        Const1 => Some(Const0),
+        Buf => Some(Not),
+        Not => Some(Buf),
+        And2 => Some(Nand2),
+        Or2 => Some(Xor2),
+        Nand2 => Some(And2),
+        Nor2 => Some(Or2),
+        Xor2 => Some(Xnor2),
+        Xnor2 => Some(Xor2),
+        Mux2 | Ao21 => Some(Maj3),
+        Maj3 => Some(Ao21),
+    };
+    let all: Vec<(usize, GateKind)> = nl
+        .cells()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, c)| swapped(c.kind).map(|k| (i, k)))
+        .collect();
+    let step = all.len().div_ceil(n).max(1);
+    all.into_iter().step_by(step).collect()
+}
+
+#[test]
+fn exhaustive_verdicts_match_a_brute_force_scan_of_faulted_designs() {
+    // Signed designs alternate PPGs: Booth4 needs an even width.
+    let cfg = GomilConfig {
+        verify: VerifyMode::Off,
+        solver_budget: Duration::from_millis(200),
+        ..cfg()
+    };
+    for m in 2..=6 {
+        let signed = if m % 2 == 0 {
+            PpgKind::Booth4
+        } else {
+            PpgKind::BaughWooley
+        };
+        for ppg in [PpgKind::And, signed] {
+            let build = build_gomil(m, ppg, &cfg).unwrap().build;
+            let mut roster = vec![None];
+            roster.extend(single_gate_faults(&build.netlist, 6).into_iter().map(Some));
+            for fault in roster {
+                let mut nl = build.netlist.clone();
+                if let Some((idx, kind)) = fault {
+                    nl.inject_cell_kind(idx, kind);
+                }
+                // The lowest failing `x + (y << m)`, one pair at a time.
+                let mask = (1u128 << m) - 1;
+                let lowest = (0..1u128 << (2 * m)).find_map(|v| {
+                    let (x, y) = (v & mask, v >> m);
+                    let got = nl.eval_ints(&[x, y], "p");
+                    let want = build.expected_product(x, y);
+                    (got != want).then_some(Counterexample { x, y, got, want })
+                });
+                let want = match lowest {
+                    Some(cex) => EquivVerdict::Failed {
+                        reason: "product mismatch".into(),
+                        counterexample: Some(cex),
+                    },
+                    None => EquivVerdict::Proved {
+                        vectors: 1 << (2 * m),
+                    },
+                };
+                let got = verify_multiplier(&nl, m, build.is_signed(), &VerifyConfig::fast());
+                assert_eq!(got, want, "{} with fault {fault:?}", build.name);
+            }
+        }
+    }
 }
