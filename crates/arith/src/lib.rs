@@ -56,6 +56,6 @@ pub use realize::realize_schedule;
 pub use schedule::{CompressionSchedule, ScheduleError, StageCounts};
 pub use steer::{
     required_stages, required_stages_modular, schedule_toward_target,
-    schedule_toward_target_modular, try_required_stages,
+    schedule_toward_target_modular, try_required_stages, Steered, Steerer,
 };
 pub use wallace::{wallace_schedule, wallace_stages_for};

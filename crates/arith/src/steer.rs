@@ -1,10 +1,20 @@
 //! Target-steered reduction schedules.
 //!
-//! [`schedule_toward_target`] generalizes Dadda: intermediate stages
-//! follow the height bounds, while the final stage consumes columns down
-//! to a requested 1/2 profile where bit availability and same-stage
-//! carries permit — always respecting the paper's Eq. (4) (no compressor
-//! at the leftmost column, so the BCV length never grows).
+//! A [`Steerer`] generalizes Dadda: every stage but the last follows the
+//! Dadda height bounds, while the last stage consumes columns down to a
+//! requested 1/2 profile where bit availability and same-stage carries
+//! permit — always respecting the paper's Eq. (4) (no compressor at the
+//! leftmost column, so the BCV length never grows) unless the modular
+//! rule is asked for.
+//!
+//! Targets are clamped to `1..=2` in every stage, and a stage with `r ≥ 1`
+//! stages after it aims at the Dadda bound `wallace_height_bound(r) ≥ 3`,
+//! so no stage before the last depends on the target.
+//! [`Steerer::new`] runs those stages once; [`Steerer::toward`] runs only
+//! the last one, in `O(n)`, into reused buffers. Target search steers
+//! hundreds of targets against one matrix this way.
+//! [`schedule_toward_target`] and [`schedule_toward_target_modular`] are
+//! the one-target forms.
 //!
 //! [`required_stages`] returns the smallest stage count for which a full
 //! reduction under that rule exists. For AND-array matrices this equals
@@ -15,21 +25,172 @@
 use crate::bcv::{min_stages, wallace_height_bound, Bcv};
 use crate::schedule::{CompressionSchedule, StageCounts};
 
+/// The steered generator for one matrix and stage count, with its
+/// target-independent stages already run.
+#[derive(Debug, Clone)]
+pub struct Steerer {
+    modular: bool,
+    /// Every stage but the last (all `s − 1` of them follow Dadda bounds).
+    head: CompressionSchedule,
+    /// 3:2 and 2:2 totals over `head`.
+    head_full: u64,
+    head_half: u64,
+    /// The BCV `head` leaves: `V_{s−1}`, or `V₀` when `s = 0`.
+    mid: Vec<u32>,
+    /// The last stage of the latest [`toward`](Self::toward), reused
+    /// between calls; `None` when `s = 0`.
+    last: Option<StageCounts>,
+    /// 3:2 and 2:2 totals over `last`.
+    last_full: u64,
+    last_half: u64,
+    /// The BCV `last` leaves (the achieved `V_s`), reused between calls.
+    achieved: Vec<u32>,
+}
+
+impl Steerer {
+    /// Runs the target-independent stages of an `s`-stage reduction of
+    /// `v0`. With `modular`, compressors may sit at the leftmost column,
+    /// growing the BCV by one column per stage if carries demand it (see
+    /// [`schedule_toward_target_modular`]).
+    pub fn new(v0: &Bcv, s: usize, modular: bool) -> Steerer {
+        let mut head = CompressionSchedule::new();
+        let mut v = v0.clone();
+        for stage_no in 1..s {
+            let bound = wallace_height_bound((s - stage_no) as u32) as u32;
+            let mut stage = StageCounts::default();
+            steer_stage(v.counts(), |_| bound, modular, &mut stage);
+            v = CompressionSchedule::apply_stage(head.stages.len(), &stage, &v)
+                .expect("a steered stage never over-subscribes a column");
+            head.stages.push(stage);
+        }
+        Steerer {
+            modular,
+            head_full: head.num_full(),
+            head_half: head.num_half(),
+            head,
+            mid: v.counts().to_vec(),
+            last: (s > 0).then(StageCounts::default),
+            last_full: 0,
+            last_half: 0,
+            achieved: Vec::new(),
+        }
+    }
+
+    /// Runs the last stage toward `target` (entries clamped to `1..=2`;
+    /// columns past its end aim at 2): each column is consumed down to its
+    /// target where bit availability and same-stage carries permit.
+    ///
+    /// Returns `None` when the achieved BCV is not a valid CPA input (some
+    /// column above 2 bits, or an empty column). The achieved BCV may
+    /// differ from `target` where a same-stage carry makes height 1
+    /// impossible; read it from [`Steered::achieved`].
+    pub fn toward(&mut self, target: &[u32]) -> Option<Steered<'_>> {
+        self.achieved.clear();
+        match self.last.as_mut() {
+            None => self.achieved.extend_from_slice(&self.mid),
+            Some(last) => {
+                let goal = |j: usize| target.get(j).copied().unwrap_or(2).clamp(1, 2);
+                steer_stage(&self.mid, goal, self.modular, last);
+                // Eq. (7) for one stage, as `CompressionSchedule::apply_stage`.
+                let mut carry_in = 0;
+                for (j, &bits) in self.mid.iter().enumerate() {
+                    let (f, h) = (last.full[j], last.half[j]);
+                    self.achieved.push(bits - 2 * f - h + carry_in);
+                    carry_in = f + h;
+                }
+                if carry_in > 0 {
+                    self.achieved.push(carry_in);
+                }
+                self.last_full = last.full.iter().map(|&f| f as u64).sum();
+                self.last_half = last.half.iter().map(|&h| h as u64).sum();
+            }
+        }
+        let valid = self.achieved.iter().all(|c| (1..=2).contains(c));
+        valid.then_some(Steered { steerer: self })
+    }
+}
+
+/// One steered reduction: a [`Steerer`]'s shared stages plus the last
+/// stage of its latest [`Steerer::toward`].
+#[derive(Debug, Clone, Copy)]
+pub struct Steered<'a> {
+    steerer: &'a Steerer,
+}
+
+impl Steered<'_> {
+    /// The achieved final column heights (LSB first, each 1 or 2).
+    pub fn achieved(&self) -> &[u32] {
+        &self.steerer.achieved
+    }
+
+    /// The last stage's compressor counts; `None` for a 0-stage schedule.
+    pub fn last_stage(&self) -> Option<&StageCounts> {
+        self.steerer.last.as_ref()
+    }
+
+    /// The CT cost `α·F + β·H` of the whole schedule, equal to
+    /// [`CompressionSchedule::cost`] on [`schedule`](Self::schedule).
+    pub fn ct_cost(&self, alpha: f64, beta: f64) -> f64 {
+        let st = self.steerer;
+        alpha * (st.head_full + st.last_full) as f64 + beta * (st.head_half + st.last_half) as f64
+    }
+
+    /// The whole schedule: the shared stages, then the last one.
+    pub fn schedule(&self) -> CompressionSchedule {
+        let mut sched = self.steerer.head.clone();
+        sched.stages.extend(self.last_stage().cloned());
+        sched
+    }
+
+    /// The achieved final BCV.
+    pub fn bcv(&self) -> Bcv {
+        Bcv::new(self.achieved().to_vec())
+    }
+}
+
+/// Fills `stage` with one steered stage over `v`: each column takes as
+/// many 3:2s, then 2:2s, as bring its height (bits plus same-stage
+/// carries in) down to `goal(j)` without over-subscribing its bits. The
+/// leftmost column hosts no compressor unless `modular` (Eq. 4).
+fn steer_stage(v: &[u32], goal: impl Fn(usize) -> u32, modular: bool, stage: &mut StageCounts) {
+    let w = v.len();
+    stage.full.clear();
+    stage.half.clear();
+    let mut carry_in = 0u32;
+    for (j, &bits) in v.iter().enumerate() {
+        let goal = goal(j);
+        let mut height = bits + carry_in;
+        let mut f = 0u32;
+        let mut h = 0u32;
+        if j + 1 < w || modular {
+            while height > goal && 3 * (f + 1) <= bits && height >= goal + 2 {
+                f += 1;
+                height -= 2;
+            }
+            while height > goal && 3 * f + 2 * (h + 1) <= bits {
+                h += 1;
+                height -= 1;
+            }
+        }
+        stage.full.push(f);
+        stage.half.push(h);
+        carry_in = f + h;
+    }
+}
+
 /// Builds a compression schedule that steers the final BCV toward
-/// `target` (entries 1 or 2) within `s` stages. Intermediate stages follow
-/// Dadda height bounds; the final stage consumes columns exactly down to
-/// the target where bit availability and same-stage carries permit.
+/// `target` (entries clamped to `1..=2`) within `s` stages, under the
+/// strict rule (Eq. 4). One-target form of [`Steerer::toward`].
 ///
 /// Returns `None` when the matrix cannot be reduced to height ≤ 2 in `s`
 /// stages this way. The *achieved* BCV may differ from `target` where a
-/// same-stage carry makes height 1 impossible; callers re-read it from the
-/// schedule.
+/// same-stage carry makes height 1 impossible; it is returned alongside.
 pub fn schedule_toward_target(
     v0: &Bcv,
     s: usize,
     target: &[u32],
 ) -> Option<(CompressionSchedule, Bcv)> {
-    steer(v0, s, target, false)
+    steer_once(v0, s, target, false)
 }
 
 /// Like [`schedule_toward_target`] but *modular*: compressors may be
@@ -44,51 +205,18 @@ pub fn schedule_toward_target_modular(
     s: usize,
     target: &[u32],
 ) -> Option<(CompressionSchedule, Bcv)> {
-    steer(v0, s, target, true)
+    steer_once(v0, s, target, true)
 }
 
-fn steer(v0: &Bcv, s: usize, target: &[u32], modular: bool) -> Option<(CompressionSchedule, Bcv)> {
-    let mut sched = CompressionSchedule::new();
-    let mut v = v0.clone();
-    for stage_no in 1..=s {
-        let remaining = s - stage_no; // stages after this one
-        let bound = wallace_height_bound(remaining as u32) as u32;
-        let w = v.len();
-        let mut stage = StageCounts::new(w);
-        let mut carry_in = 0u32;
-        for j in 0..w {
-            // Column goal: Dadda bound, sharpened to the exact target on
-            // the last stage. The leftmost column never hosts compressors
-            // (Eq. 4) so the BCV length stays fixed.
-            let goal = if remaining == 0 {
-                target.get(j).copied().unwrap_or(2).clamp(1, 2)
-            } else {
-                bound.max(target.get(j).copied().unwrap_or(2))
-            };
-            let mut height = v[j] + carry_in;
-            let mut f = 0u32;
-            let mut h = 0u32;
-            if j + 1 < w || modular {
-                while height > goal && 3 * (f + 1) <= v[j] && height >= goal + 2 {
-                    f += 1;
-                    height -= 2;
-                }
-                while height > goal && 3 * f + 2 * (h + 1) <= v[j] {
-                    h += 1;
-                    height -= 1;
-                }
-            }
-            stage.full[j] = f;
-            stage.half[j] = h;
-            carry_in = f + h;
-        }
-        v = CompressionSchedule::apply_stage(sched.stages.len(), &stage, &v).ok()?;
-        sched.stages.push(stage);
-    }
-    if !v.is_reduced() || v.iter().any(|c| c == 0) {
-        return None;
-    }
-    Some((sched, v))
+fn steer_once(
+    v0: &Bcv,
+    s: usize,
+    target: &[u32],
+    modular: bool,
+) -> Option<(CompressionSchedule, Bcv)> {
+    let mut steerer = Steerer::new(v0, s, modular);
+    let steered = steerer.toward(target)?;
+    Some((steered.schedule(), steered.bcv()))
 }
 
 /// The smallest stage count that can fully reduce `v0` under the strict

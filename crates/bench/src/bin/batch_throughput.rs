@@ -1,13 +1,17 @@
 //! Experiment: throughput of the `gomil-serve` batch service — cold
 //! (every request solves) versus warm (cache + singleflight absorb the
 //! duplicates), plus the dedup and warm-start counters behind the
-//! speedup. Writes `BENCH_serve.json`.
+//! speedup. Writes its top-level fields of `BENCH_serve.json`, stamped
+//! with the commit, the host's CPU count and the configuration
+//! (`GomilConfig::fast()`, the word lengths and the service's worker
+//! count); the `mart` and `http` sections other benches write are left
+//! as they are.
 //!
 //! Usage: `cargo run --release -p gomil-bench --bin batch_throughput --
 //! [m …] [--json FILE]`
 
 use gomil::{serve_service, GomilConfig, PpgKind, ServeConfig, SolveRequest};
-use gomil_bench::timed;
+use gomil_bench::{git_commit, host_cpus, splice_json_file, timed};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -60,32 +64,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let warm_rps = n / warm.as_secs_f64().max(1e-9);
     println!("cold: {cold_rps:.2} req/s   warm: {warm_rps:.2} req/s");
 
-    let json = format!(
-        "{{\n  \"bench\": \"batch_throughput\",\n  \"word_lengths\": [{}],\n  \
-         \"requests_per_wave\": {},\n  \"jobs\": {},\n  \
-         \"cold_seconds\": {},\n  \"warm_seconds\": {},\n  \
-         \"cold_requests_per_sec\": {},\n  \"warm_requests_per_sec\": {},\n  \
-         \"solves\": {},\n  \"cache_hits\": {},\n  \"dedup_joins\": {},\n  \
-         \"warm_start_hints\": {},\n  \"hit_rate\": {},\n  \
-         \"errors\": {}\n}}\n",
-        ms.iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-        requests.len(),
-        ServeConfig::default().jobs,
-        cold.as_secs_f64(),
-        warm.as_secs_f64(),
-        cold_rps,
-        warm_rps,
-        report.solves,
-        report.hits,
-        report.dedup_joins,
-        report.warm_hints,
-        report.hit_rate(),
-        cold_errors + warm_errors,
-    );
-    std::fs::write(&json_path, json)?;
-    eprintln!("wrote {json_path}");
+    let word_lengths = ms
+        .iter()
+        .map(usize::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
+    let fields = [
+        ("bench", "\"batch_throughput\"".to_string()),
+        ("commit", format!("\"{}\"", git_commit())),
+        ("host_cpus", host_cpus().to_string()),
+        ("config", "\"fast\"".to_string()),
+        ("word_lengths", format!("[{word_lengths}]")),
+        ("requests_per_wave", requests.len().to_string()),
+        ("jobs", ServeConfig::default().jobs.to_string()),
+        ("cold_seconds", cold.as_secs_f64().to_string()),
+        ("warm_seconds", warm.as_secs_f64().to_string()),
+        ("cold_requests_per_sec", cold_rps.to_string()),
+        ("warm_requests_per_sec", warm_rps.to_string()),
+        ("solves", report.solves.to_string()),
+        ("cache_hits", report.hits.to_string()),
+        ("dedup_joins", report.dedup_joins.to_string()),
+        ("warm_start_hints", report.warm_hints.to_string()),
+        ("hit_rate", report.hit_rate().to_string()),
+        ("errors", (cold_errors + warm_errors).to_string()),
+    ];
+    splice_json_file(&json_path, &fields)?;
+    eprintln!("wrote batch fields into {json_path}");
     Ok(())
 }

@@ -8,7 +8,9 @@
 //! path stays within 2x of the warm-cache path — both are hash lookups;
 //! the mart adds only a binary-search over the sorted index.
 //!
-//! Splices a flat `"mart"` section into `BENCH_serve.json`.
+//! Splices a `"mart"` section into `BENCH_serve.json` (the rest of the
+//! file is untouched), stamped with the commit, the host's CPU count and
+//! the configuration: `GomilConfig::fast()`, the word lengths and loops.
 //!
 //! Usage: `cargo run --release -p gomil-bench --bin mart_serve --
 //! [m …] [--loops N] [--json FILE]`
@@ -17,7 +19,7 @@ use gomil::{
     serve_service, DesignStore, GomilConfig, PpgKind, ServeConfig, ServeOutcome, SolveRequest,
     SOLVER_VERSION,
 };
-use gomil_bench::timed;
+use gomil_bench::{git_commit, host_cpus, splice_json_file, timed};
 use gomil_mart::{Mart, MartBuilder};
 use std::sync::Arc;
 
@@ -132,10 +134,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let section = format!(
-        "\"mart\": {{\n    \"entries\": {},\n    \"build_seconds\": {},\n    \
+        "{{\n    \"commit\": \"{}\",\n    \"host_cpus\": {},\n    \
+         \"config\": \"fast\",\n    \"word_lengths\": [{}],\n    \
+         \"entries\": {},\n    \"build_seconds\": {},\n    \
          \"loops\": {},\n    \"warm_cache_requests_per_sec\": {},\n    \
          \"mart_hit_requests_per_sec\": {},\n    \"warm_over_mart_ratio\": {},\n    \
          \"mart_solves\": {},\n    \"mart_coverage\": {}\n  }}",
+        git_commit(),
+        host_cpus(),
+        ms.iter()
+            .map(usize::to_string)
+            .collect::<Vec<_>>()
+            .join(", "),
         entries,
         build.as_secs_f64(),
         loops,
@@ -145,47 +155,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.solves,
         report.mart_coverage(),
     );
-    let merged = match std::fs::read_to_string(&json_path) {
-        Ok(existing) => splice_mart_section(&existing, &section),
-        Err(_) => format!("{{\n  {section}\n}}\n"),
-    };
-    gomil_httpd::parse_json(&merged).map_err(|e| format!("merged {json_path} is invalid: {e}"))?;
-    std::fs::write(&json_path, merged)?;
+    splice_json_file(&json_path, &[("mart", section)])?;
     eprintln!("wrote mart section into {json_path}");
     Ok(())
-}
-
-/// Replaces (or appends) the `"mart"` object inside an existing JSON
-/// document, leaving every other key byte-identical. The section spans
-/// two brace levels (it is an object value), so the strip scans to the
-/// matching close brace rather than the first one.
-fn splice_mart_section(existing: &str, section: &str) -> String {
-    let mut doc = existing.trim_end().to_string();
-    if let Some(start) = doc.find("\"mart\":") {
-        let lead = doc[..start].rfind(',').unwrap_or(start.saturating_sub(1));
-        let mut depth = 0usize;
-        let mut end = doc.len();
-        for (i, c) in doc[start..].char_indices() {
-            match c {
-                '{' => depth += 1,
-                '}' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = start + i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        doc.replace_range(lead..end, "");
-    }
-    match doc.rfind('}') {
-        Some(close) => {
-            let body = doc[..close].trim_end();
-            let comma = if body.ends_with(['{', ',']) { "" } else { "," };
-            format!("{body}{comma}\n  {section}\n}}\n")
-        }
-        None => format!("{{\n  {section}\n}}\n"),
-    }
 }

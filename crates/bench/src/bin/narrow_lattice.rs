@@ -11,7 +11,8 @@
 //!   joint ILP ran out its wall-clock budget — whether it proves in time
 //!   depends on host speed, so such a cell is reported, not failed;
 //! * a verdict is `failed`, or a build errors;
-//! * the cold m = 8 AND build takes 1 s or more.
+//! * the cold m = 8 AND build takes 1 s or more;
+//! * a cold m = 64 AND build, run after the lattice, takes 150 ms or more.
 //!
 //! The baseline is the design each cell was served when the joint ILP ran
 //! on every matrix of at most 16 columns under the default 10 s budget.
@@ -113,6 +114,11 @@ const OTHER: [(Shape, f64); 10] = [
 /// The cold m = 8 AND build must finish below this.
 const M8_GATE: Duration = Duration::from_secs(1);
 
+/// The cold m = 64 AND build must finish below this. Target search serves
+/// it alone; running the prefix DP once per climb candidate took 250–550
+/// ms on a 2-vCPU host, once per distinct final profile about 16 ms.
+const M64_GATE: Duration = Duration::from_millis(150);
+
 fn main() -> ExitCode {
     let quick = std::env::args().any(|a| a == "--quick");
     let cfg = GomilConfig::default();
@@ -195,6 +201,27 @@ fn main() -> ExitCode {
         );
         if !status.is_empty() {
             eprintln!("{label}: {report}");
+        }
+    }
+
+    let t0 = Instant::now();
+    match build_gomil(64, PpgKind::And, &cfg) {
+        Ok(design) => {
+            let took = t0.elapsed();
+            let slow = took >= M64_GATE;
+            println!(
+                "cold m=64 AND: {took:.2?} (gate {M64_GATE:?}), objective {}, winner {}  {}",
+                design.solution.objective,
+                design.solution.strategy,
+                if slow { "SLOW" } else { "ok" }
+            );
+            if slow {
+                failures += 1;
+            }
+        }
+        Err(e) => {
+            eprintln!("FAIL: AND m=64: build failed: {e}");
+            failures += 1;
         }
     }
 

@@ -11,7 +11,7 @@
 //! [--clients N] [--requests N] [--burst N] [--json FILE]`
 
 use gomil::{serve_service, GomilConfig, ServeConfig};
-use gomil_bench::git_commit;
+use gomil_bench::{git_commit, host_cpus, splice_json_file};
 use gomil_httpd::{client, HttpdConfig, Server};
 use std::sync::Arc;
 use std::time::Instant;
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clients = flag(&args, "--clients", 8)?.max(1);
     let per_client = flag(&args, "--requests", 25)?.max(1);
     let burst = flag(&args, "--burst", 24)?.max(1);
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = host_cpus();
 
     // `fast()` keeps individual solves small: the benchmark measures the
     // HTTP and admission path, not one giant branch and bound.
@@ -158,7 +158,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let commit = git_commit();
     let section = format!(
-        "\"http\": {{\n    \"commit\": \"{commit}\",\n    \"host_cpus\": {host_cpus},\n    \
+        "{{\n    \"commit\": \"{commit}\",\n    \"host_cpus\": {host_cpus},\n    \
          \"clients\": {clients},\n    \"requests_per_client\": {per_client},\n    \
          \"burst_clients\": {burst},\n    \
          \"max_inflight\": {max_inflight},\n    \"max_queue\": {max_queue},\n    \
@@ -171,33 +171,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
          \"server_shed_total\": {server_shed}\n  }}",
         lat_ms.len()
     );
-    let merged = match std::fs::read_to_string(&json_path) {
-        Ok(existing) => splice_http_section(&existing, &section),
-        Err(_) => format!("{{\n  {section}\n}}\n"),
-    };
-    gomil_httpd::parse_json(&merged).map_err(|e| format!("merged {json_path} is invalid: {e}"))?;
-    std::fs::write(&json_path, merged)?;
+    splice_json_file(&json_path, &[("http", section)])?;
     eprintln!("wrote http section into {json_path}");
     Ok(())
-}
-
-/// Replaces (or appends) the flat `"http"` object inside an existing
-/// JSON document, leaving every other key byte-identical.
-fn splice_http_section(existing: &str, section: &str) -> String {
-    let mut doc = existing.trim_end().to_string();
-    // Strip a previous run's section: from the comma before `"http"` to
-    // the first closing brace after it (the section is flat by design).
-    if let Some(start) = doc.find("\"http\":") {
-        let lead = doc[..start].rfind(',').unwrap_or(start.saturating_sub(1));
-        let end = doc[start..].find('}').map_or(doc.len(), |i| start + i + 1);
-        doc.replace_range(lead..end, "");
-    }
-    match doc.rfind('}') {
-        Some(close) => {
-            let body = doc[..close].trim_end();
-            let comma = if body.ends_with(['{', ',']) { "" } else { "," };
-            format!("{body}{comma}\n  {section}\n}}\n")
-        }
-        None => format!("{{\n  {section}\n}}\n"),
-    }
 }

@@ -83,6 +83,143 @@ pub fn git_commit() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+/// The number of CPUs this process may run on: the host stamp next to
+/// [`git_commit`] in bench JSON.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// [`splice_json`] on the file at `path` (a missing file starts empty),
+/// checking that the merged document parses before writing it back.
+///
+/// # Errors
+///
+/// The file cannot be read or written, or it or the merged document is
+/// not a JSON object.
+pub fn splice_json_file(path: &str, fresh: &[(&str, String)]) -> Result<(), String> {
+    let existing = match std::fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
+        Err(e) => return Err(format!("{path}: {e}")),
+    };
+    let merged = splice_json(&existing, fresh).map_err(|e| format!("{path}: {e}"))?;
+    gomil_httpd::parse_json(&merged).map_err(|e| format!("merged {path} is invalid: {e}"))?;
+    std::fs::write(path, merged).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Sets top-level entries of the JSON object `existing`, leaving every
+/// other entry byte-identical: the result file of several benches that
+/// each own some keys.
+///
+/// `fresh` holds `(key, raw JSON value)` pairs. A key already present is
+/// replaced where it stands; a new key follows the entry before it in
+/// `fresh`, or goes at the end when it comes first. A blank `existing`
+/// starts an empty object. The result is two-space indented, one entry per line.
+///
+/// # Errors
+///
+/// `existing` is not blank and not a JSON object.
+pub fn splice_json(existing: &str, fresh: &[(&str, String)]) -> Result<String, String> {
+    let mut entries = if existing.trim().is_empty() {
+        Vec::new()
+    } else {
+        json_entries(existing)?
+    };
+    // Where the previous fresh entry sits.
+    let mut prev: Option<usize> = None;
+    for (key, value) in fresh {
+        let i = match entries.iter().position(|(k, _)| k == key) {
+            Some(i) => {
+                entries[i].1 = value.clone();
+                i
+            }
+            None => {
+                let at = prev.map_or(entries.len(), |p| p + 1);
+                entries.insert(at, (key.to_string(), value.clone()));
+                at
+            }
+        };
+        prev = Some(i);
+    }
+    let body: Vec<String> = entries
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v}"))
+        .collect();
+    Ok(format!("{{\n{}\n}}\n", body.join(",\n")))
+}
+
+/// The top-level entries of a JSON object as `(key, raw value text)`, in
+/// document order. Values are not validated beyond bracket and string
+/// balance.
+fn json_entries(doc: &str) -> Result<Vec<(String, String)>, String> {
+    let not_object = || "not a JSON object".to_string();
+    let b = doc.as_bytes();
+    let skip_ws = |mut i: usize| {
+        while i < b.len() && b[i].is_ascii_whitespace() {
+            i += 1;
+        }
+        i
+    };
+    // The index just past the string starting at `i`.
+    let string_end = |i: usize| -> Result<usize, String> {
+        let mut j = i + 1;
+        while j < b.len() {
+            match b[j] {
+                b'\\' => j += 2,
+                b'"' => return Ok(j + 1),
+                _ => j += 1,
+            }
+        }
+        Err("unterminated string".to_string())
+    };
+    let mut i = skip_ws(0);
+    if b.get(i) != Some(&b'{') {
+        return Err(not_object());
+    }
+    let mut entries = Vec::new();
+    i = skip_ws(i + 1);
+    if b.get(i) == Some(&b'}') {
+        return Ok(entries);
+    }
+    loop {
+        if b.get(i) != Some(&b'"') {
+            return Err(not_object());
+        }
+        let key_end = string_end(i)?;
+        let key = doc[i + 1..key_end - 1].to_string();
+        i = skip_ws(key_end);
+        if b.get(i) != Some(&b':') {
+            return Err(format!("no value for key {key:?}"));
+        }
+        let start = skip_ws(i + 1);
+        // The value runs to the first `,` or `}` outside brackets and strings.
+        let mut depth = 0usize;
+        let mut j = start;
+        while j < b.len() {
+            match b[j] {
+                b'"' => {
+                    j = string_end(j)?;
+                    continue;
+                }
+                b'{' | b'[' => depth += 1,
+                b'}' | b']' if depth > 0 => depth -= 1,
+                b',' | b'}' if depth == 0 => break,
+                _ => {}
+            }
+            j += 1;
+        }
+        let value = doc[start..j].trim_end();
+        if value.is_empty() || j == b.len() {
+            return Err(format!("unterminated value for key {key:?}"));
+        }
+        entries.push((key, value.to_string()));
+        if b[j] == b'}' {
+            return Ok(entries);
+        }
+        i = skip_ws(j + 1);
+    }
+}
+
 /// Parses word lengths from argv, defaulting to the paper's 8/16/32/64.
 pub fn word_lengths_from_args() -> Vec<usize> {
     let ms: Vec<usize> = std::env::args()
@@ -179,6 +316,40 @@ mod tests {
         assert!(json.contains("\"m\": 4"));
         assert!(json.contains("GOMIL-AND-4"));
         assert!(json.contains("\"verified\": true"));
+    }
+
+    #[test]
+    fn splice_replaces_owned_keys_and_keeps_the_rest_verbatim() {
+        let http = "{\n    \"commit\": \"abc\",\n    \"p50_ms\": 0.44\n  }";
+        let doc = format!(
+            "{{\n  \"bench\": \"old\",\n  \"word_lengths\": [8, 12],\n  \"http\": {http}\n}}\n"
+        );
+        let fresh = [
+            ("bench", "\"batch\"".to_string()),
+            ("word_lengths", "[4]".to_string()),
+            ("commit", "\"def\"".to_string()),
+        ];
+        let out = splice_json(&doc, &fresh).unwrap();
+        assert_eq!(
+            out,
+            format!(
+                "{{\n  \"bench\": \"batch\",\n  \"word_lengths\": [4],\n  \
+                 \"commit\": \"def\",\n  \"http\": {http}\n}}\n"
+            )
+        );
+        // A section absent so far is appended; one present is replaced in
+        // place, and the http section's bytes never change.
+        let mart = "{\n    \"entries\": 12\n  }".to_string();
+        let with_mart = splice_json(&out, &[("mart", mart.clone())]).unwrap();
+        assert!(with_mart.ends_with(&format!("\"http\": {http},\n  \"mart\": {mart}\n}}\n")));
+        let again = splice_json(&with_mart, &[("mart", "{}".to_string())]).unwrap();
+        assert!(again.contains(&format!("\"http\": {http},\n  \"mart\": {{}}\n}}")));
+        assert_eq!(
+            splice_json("", &[("a", "1".to_string())]).unwrap(),
+            "{\n  \"a\": 1\n}\n"
+        );
+        assert!(splice_json("[1]", &[("a", "1".to_string())]).is_err());
+        assert!(splice_json("{\"a\": [1,", &[("a", "1".to_string())]).is_err());
     }
 
     #[test]

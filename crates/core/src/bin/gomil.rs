@@ -1,7 +1,7 @@
 //! `gomil` — command-line front end for the GOMIL reproduction.
 //!
 //! ```text
-//! gomil gen <m> [and|mbe] [--out FILE] [--verify off|fast|strict] [--no-verify]
+//! gomil gen <m> [and|mbe|mbe8|bw] [--out FILE] [--verify off|fast|strict] [--no-verify]
 //!             [--budget-ms N] [--solver-jobs N]
 //!             [--pricing dantzig|devex] [--cuts off|root]
 //!             [--scaling on|off]
@@ -177,10 +177,11 @@ fn parse_m(args: &[String]) -> Result<usize, Box<dyn std::error::Error>> {
 
 fn cmd_gen(args: &[String]) -> CliResult {
     let m = parse_m(args)?;
-    let ppg = if args.iter().any(|a| a == "mbe" || a == "booth") {
-        PpgKind::Booth4
-    } else {
-        PpgKind::And
+    // The optional positional PPG follows the word length.
+    let ppg = match args.get(1).filter(|a| !a.starts_with("--")) {
+        Some(name) => PpgKind::from_name(name)
+            .ok_or_else(|| format!("unknown PPG {name:?} (expected and, mbe, mbe8 or bw)"))?,
+        None => PpgKind::And,
     };
     let out = args
         .iter()

@@ -17,7 +17,10 @@
 //!   over final-height target profiles, with each candidate evaluated
 //!   *exactly* (a targeted-Dadda schedule generator for the CT side and
 //!   the full interval DP for the prefix side). It scores the complete
-//!   prefix cost, not just the truncated `c_{L−1:0}`.
+//!   prefix cost, not just the truncated `c_{L−1:0}`. Only the generator's
+//!   last stage depends on the target, so a [`Steerer`] runs the others
+//!   once per search; and a climb round's candidates reach only a few
+//!   distinct final profiles, so the DP runs once per distinct profile.
 //! * plain Dadda + optimal prefix — the unconditional last resort; never
 //!   budget-checked, cannot fail.
 //!
@@ -31,8 +34,8 @@ use crate::ct_ilp::CtIlp;
 use crate::error::GomilError;
 use crate::prefix_ilp::{add_prefix_constraints, LeafB};
 use gomil_arith::{
-    dadda_schedule, required_stages_modular, schedule_toward_target,
-    schedule_toward_target_modular, try_required_stages, Bcv, CompressionSchedule,
+    dadda_schedule, required_stages_modular, schedule_toward_target, try_required_stages, Bcv,
+    CompressionSchedule, Steerer,
 };
 use gomil_budget::{Budget, BudgetExceeded};
 use gomil_ilp::{
@@ -41,6 +44,7 @@ use gomil_ilp::{
 };
 use gomil_netlist::EquivVerdict;
 use gomil_prefix::{dp_tables_budgeted, leaf_types, optimize_prefix_tree, PrefixTree};
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
@@ -486,34 +490,60 @@ pub(crate) fn unverified() -> EquivVerdict {
     }
 }
 
-/// Budget-aware variant of [`solution_from`]: the prefix DP aborts when the
-/// budget expires, so a hill-climb can bail out mid-candidate.
-fn solution_from_budgeted(
-    vs: Bcv,
+/// The prefix cost `A + w·D` of every final profile a target search has
+/// scored, keyed by the profile packed as leaf-type bits.
+///
+/// Each climb step's candidates reach only a few distinct profiles, so
+/// the memo runs the `O(n³)` interval DP once per profile. It keeps one
+/// `f64` and `O(n/64)` key words per profile — never a DP table or a
+/// tree.
+struct PrefixCosts<'a> {
+    w: f64,
+    budget: &'a Budget,
+    memo: HashMap<Vec<u64>, f64>,
+    /// Lookup key buffer: the profile length, then one bit per column
+    /// (set for height 2).
+    key: Vec<u64>,
+}
+
+impl<'a> PrefixCosts<'a> {
+    fn new(w: f64, budget: &'a Budget) -> PrefixCosts<'a> {
+        PrefixCosts {
+            w,
+            budget,
+            memo: HashMap::new(),
+            key: Vec::new(),
+        }
+    }
+
+    /// The prefix cost of final profile `vs` (entries 1 or 2): a memo hit,
+    /// or one budgeted DP run.
+    fn get(&mut self, vs: &[u32]) -> Result<f64, BudgetExceeded> {
+        self.key.clear();
+        self.key.resize(1 + vs.len().div_ceil(64), 0);
+        self.key[0] = vs.len() as u64;
+        for (i, &c) in vs.iter().enumerate() {
+            if c == 2 {
+                self.key[1 + i / 64] |= 1 << (i % 64);
+            }
+        }
+        if let Some(&cost) = self.memo.get(self.key.as_slice()) {
+            return Ok(cost);
+        }
+        let t = dp_tables_budgeted(&leaf_types(vs), self.w, None, self.budget)?;
+        let (area, delay) = t.area_delay(vs.len() - 1, 0);
+        let cost = area + self.w * delay;
+        self.memo.insert(self.key.clone(), cost);
+        Ok(cost)
+    }
+}
+
+/// Target search's best design so far, without its prefix tree (built
+/// once, for the winner).
+struct Incumbent {
     schedule: CompressionSchedule,
-    cfg: &GomilConfig,
-    strategy: &'static str,
-    budget: &Budget,
-) -> Result<GlobalSolution, BudgetExceeded> {
-    let ct_cost = schedule.cost(cfg.alpha, cfg.beta);
-    let b = leaf_types(vs.counts());
-    let t = dp_tables_budgeted(&b, cfg.w, None, budget)?;
-    let n = b.len();
-    let (area, delay) = t.area_delay(n - 1, 0);
-    let prefix_cost = area + cfg.w * delay;
-    Ok(GlobalSolution {
-        tree: t.tree(n - 1, 0),
-        schedule,
-        vs,
-        ct_cost,
-        prefix_cost,
-        objective: ct_cost + prefix_cost,
-        strategy,
-        solver_stats: None,
-        degradation: DegradationReport::default(),
-        verdict: unverified(),
-        verify_time: Duration::ZERO,
-    })
+    vs: Bcv,
+    objective: f64,
 }
 
 /// Joint optimization by hill-climbing over final-height target profiles.
@@ -521,13 +551,21 @@ fn solution_from_budgeted(
 /// Starts from Dadda's natural output profile; at each round tries
 /// flipping every column's target (1 ↔ 2), keeping the first strict
 /// improvement of the exact global objective. Deterministic.
+///
+/// Every candidate is scored exactly: the CT cost of its steered schedule
+/// plus the full-width interval-DP prefix cost of the profile it
+/// achieves. A [`Steerer`] runs the target-independent stages once, so a
+/// candidate costs one `O(n)` last stage, and the prefix cost of each
+/// distinct achieved profile is computed once per search (a climb round's
+/// candidates reach only a handful). Only the winner's prefix tree is
+/// built.
 pub fn target_search(v0: &Bcv, cfg: &GomilConfig) -> GlobalSolution {
     target_search_budgeted(v0, cfg, &Budget::unlimited()).expect("unlimited budget cannot expire")
 }
 
 /// Budget-aware [`target_search`]: the hill-climb checks the budget before
-/// each candidate and returns the best solution found so far once it
-/// expires.
+/// each candidate (and the prefix DP of each new profile checks it as it
+/// runs) and returns the best solution found so far once it expires.
 ///
 /// # Errors
 ///
@@ -564,30 +602,42 @@ pub fn target_search_hinted(
         Some(s) => (s, false),
         None => (required_stages_modular(v0), true),
     };
-    let steer = |target: &[u32]| {
-        if modular {
-            schedule_toward_target_modular(v0, s, target)
-        } else {
-            schedule_toward_target(v0, s, target)
-        }
-    };
+    let mut steerer = Steerer::new(v0, s, modular);
+    let mut prefix = PrefixCosts::new(cfg.w, budget);
 
     // Seed: plain Dadda (always feasible) — its own achieved profile.
     let dadda = dadda_schedule(v0);
     let dadda_vs = dadda.final_bcv(v0).expect("dadda is valid");
-    let mut best = solution_from_budgeted(dadda_vs.clone(), dadda, cfg, "target-search", budget)?;
-    let mut target: Vec<u32> = dadda_vs.counts().to_vec();
+    let mut best = Incumbent {
+        objective: dadda.cost(cfg.alpha, cfg.beta) + prefix.get(dadda_vs.counts())?,
+        schedule: dadda,
+        vs: dadda_vs,
+    };
+    let mut target: Vec<u32> = best.vs.counts().to_vec();
+
+    // Steers toward `target` and makes the result the incumbent when its
+    // objective is below `bar`; `Ok(true)` when it did.
+    let mut offer =
+        |target: &[u32], bar: f64, best: &mut Incumbent| -> Result<bool, BudgetExceeded> {
+            let Some(cand) = steerer.toward(target) else {
+                return Ok(false);
+            };
+            let objective = cand.ct_cost(cfg.alpha, cfg.beta) + prefix.get(cand.achieved())?;
+            if objective >= bar {
+                return Ok(false);
+            }
+            *best = Incumbent {
+                schedule: cand.schedule(),
+                vs: cand.bcv(),
+                objective,
+            };
+            Ok(true)
+        };
 
     // Also try the steered generator on the seed profile (it may already
     // differ from plain Dadda by preferring cheap columns).
     if budget.check().is_ok() {
-        if let Some((sched, vs)) = steer(&target) {
-            if let Ok(cand) = solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
-                if cand.objective < best.objective {
-                    best = cand;
-                }
-            }
-        }
+        let _ = offer(&target, best.objective, &mut best);
     }
 
     // A donated neighbor profile competes as a third seed; when it wins,
@@ -595,13 +645,8 @@ pub fn target_search_hinted(
     if let Some(h) = hint {
         if budget.check().is_ok() {
             let ht = h.adapted(target.len());
-            if let Some((sched, vs)) = steer(&ht) {
-                if let Ok(cand) = solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
-                    if cand.objective < best.objective {
-                        best = cand;
-                        target = ht;
-                    }
-                }
+            if let Ok(true) = offer(&ht, best.objective, &mut best) {
+                target = ht;
             }
         }
     }
@@ -616,20 +661,17 @@ pub fn target_search_hinted(
             }
             let old = target[j];
             target[j] = if old == 1 { 2 } else { 1 };
-            if let Some((sched, vs)) = steer(&target) {
-                match solution_from_budgeted(vs, sched, cfg, "target-search", budget) {
-                    Ok(cand) if cand.objective < best.objective - 1e-9 => {
-                        best = cand;
-                        improved = true;
-                        continue; // keep the flip
-                    }
-                    Err(_) => {
-                        // Budget died scoring this candidate: keep the
-                        // incumbent and stop climbing.
-                        target[j] = old;
-                        break 'climb;
-                    }
-                    Ok(_) => {}
+            match offer(&target, best.objective - 1e-9, &mut best) {
+                Ok(true) => {
+                    improved = true;
+                    continue; // keep the flip
+                }
+                Ok(false) => {}
+                Err(_) => {
+                    // Budget died scoring this candidate: keep the
+                    // incumbent and stop climbing.
+                    target[j] = old;
+                    break 'climb;
                 }
             }
             target[j] = old; // revert
@@ -638,7 +680,13 @@ pub fn target_search_hinted(
             break;
         }
     }
-    Ok(best)
+    // One more DP run rebuilds the winner's tree.
+    Ok(solution_from(
+        best.vs,
+        best.schedule,
+        cfg,
+        Rung::TargetSearch.label(),
+    ))
 }
 
 /// The paper's joint ILP (Eq. 27 with the `L` truncation), warm-started
@@ -1027,7 +1075,7 @@ pub fn optimize_global_hinted(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gomil_arith::min_stages;
+    use gomil_arith::{min_stages, PpgKind};
 
     fn cfg() -> GomilConfig {
         GomilConfig::fast()
@@ -1198,6 +1246,122 @@ mod tests {
         let free = target_search(&v0, &cfg());
         let budgeted = target_search_budgeted(&v0, &cfg(), &Budget::unlimited()).unwrap();
         assert_eq!(free.objective, budgeted.objective);
+    }
+
+    /// The initial BCV of an `m`-bit multiplier with partial products from
+    /// `ppg`, or `None` where the generator does not support `m`.
+    fn ppg_bcv(m: usize, ppg: PpgKind) -> Option<Bcv> {
+        if (ppg == PpgKind::Booth4 && !m.is_multiple_of(2)) || (ppg == PpgKind::Booth8 && m < 3) {
+            return None;
+        }
+        let mut nl = gomil_netlist::Netlist::new("v0");
+        let a = nl.add_input("a", m);
+        let b = nl.add_input("b", m);
+        Some(crate::flow::build_ppg(&mut nl, ppg, &a, &b).heights())
+    }
+
+    /// The hill-climb without the steerer or the prefix-cost memo: every
+    /// candidate steered from scratch by `schedule_toward_target[_modular]`
+    /// and scored with a full `optimize_prefix_tree`.
+    fn reference_search(
+        v0: &Bcv,
+        cfg: &GomilConfig,
+        hint: Option<&WarmStartHint>,
+    ) -> GlobalSolution {
+        let (s, modular) = match try_required_stages(v0) {
+            Some(s) => (s, false),
+            None => (required_stages_modular(v0), true),
+        };
+        let steer = |target: &[u32]| {
+            if modular {
+                gomil_arith::schedule_toward_target_modular(v0, s, target)
+            } else {
+                schedule_toward_target(v0, s, target)
+            }
+        };
+        let score = |(sched, vs): (CompressionSchedule, Bcv)| {
+            solution_from(vs, sched, cfg, "target-search")
+        };
+        let dadda = dadda_schedule(v0);
+        let dadda_vs = dadda.final_bcv(v0).unwrap();
+        let mut target = dadda_vs.counts().to_vec();
+        let mut best = score((dadda, dadda_vs));
+        if let Some(cand) = steer(&target).map(score) {
+            if cand.objective < best.objective {
+                best = cand;
+            }
+        }
+        if let Some(h) = hint {
+            let ht = h.adapted(target.len());
+            if let Some(cand) = steer(&ht).map(score) {
+                if cand.objective < best.objective {
+                    best = cand;
+                    target = ht;
+                }
+            }
+        }
+        let n = v0.len();
+        for _round in 0..2 * n + 10 {
+            let mut improved = false;
+            for j in 0..n {
+                let old = target[j];
+                target[j] = if old == 1 { 2 } else { 1 };
+                if let Some(cand) = steer(&target).map(score) {
+                    if cand.objective < best.objective - 1e-9 {
+                        best = cand;
+                        improved = true;
+                        continue;
+                    }
+                }
+                target[j] = old;
+            }
+            if !improved {
+                break;
+            }
+        }
+        best
+    }
+
+    fn assert_same_design(got: &GlobalSolution, want: &GlobalSolution, cell: &str) {
+        assert_eq!(got.objective, want.objective, "{cell}: objective");
+        assert_eq!(got.ct_cost, want.ct_cost, "{cell}: CT cost");
+        assert_eq!(got.prefix_cost, want.prefix_cost, "{cell}: prefix cost");
+        assert_eq!(got.vs, want.vs, "{cell}: V_s");
+        assert_eq!(got.schedule, want.schedule, "{cell}: schedule stages");
+        assert_eq!(got.tree, want.tree, "{cell}: prefix tree");
+        assert_eq!(got.strategy, want.strategy, "{cell}: strategy");
+    }
+
+    #[test]
+    fn target_search_equals_the_reference_climb_on_every_narrow_cell() {
+        let cfg = cfg();
+        let unlimited = Budget::unlimited();
+        for m in 2..=16 {
+            for ppg in PpgKind::all() {
+                let Some(v0) = ppg_bcv(m, ppg) else { continue };
+                let cell = format!("{} m={m}", ppg.label());
+                let got = target_search_hinted(&v0, &cfg, &unlimited, None).unwrap();
+                assert_same_design(&got, &reference_search(&v0, &cfg, None), &cell);
+            }
+        }
+    }
+
+    #[test]
+    fn hinted_target_search_equals_the_hinted_reference_climb() {
+        let cfg = cfg();
+        let unlimited = Budget::unlimited();
+        for m in 4..=8 {
+            for ppg in PpgKind::all() {
+                let Some(v0) = ppg_bcv(m, ppg) else { continue };
+                // The donor is the next-narrower width of the same PPG, or
+                // the AND matrix where that width is unsupported.
+                let donor = ppg_bcv(m - 1, ppg).unwrap_or_else(|| Bcv::and_ppg(m - 1));
+                let hint = WarmStartHint::from_solution(&target_search(&donor, &cfg));
+                let cell = format!("{} m={m} hinted by {donor}", ppg.label());
+                let got = target_search_hinted(&v0, &cfg, &unlimited, Some(&hint)).unwrap();
+                assert_same_design(&got, &reference_search(&v0, &cfg, Some(&hint)), &cell);
+            }
+        }
     }
 
     #[test]

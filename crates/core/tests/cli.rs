@@ -75,3 +75,28 @@ fn a_malformed_flag_value_fails_naming_the_flag() {
     let log = String::from_utf8_lossy(&out.stderr);
     assert!(log.contains("--cuts") && log.contains("bogus"), "{log}");
 }
+
+#[test]
+fn gen_builds_the_named_ppg() {
+    // The budget bounds the joint ILP, which proves BW m=3 only slowly.
+    let out = gomil(&["gen", "3", "bw", "--budget-ms", "200"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(log.contains("equivalence: GOMIL-BW-3 "), "{log}");
+}
+
+#[test]
+fn gen_rejects_an_unknown_ppg_naming_it() {
+    let out = gomil(&["gen", "3", "xyz"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(
+        out.stdout.is_empty(),
+        "no design for a rejected command line"
+    );
+    let log = String::from_utf8_lossy(&out.stderr);
+    assert!(log.contains("xyz"), "{log}");
+}

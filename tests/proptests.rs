@@ -1,7 +1,10 @@
 //! Property-based tests over the core data structures and invariants.
 
 use gomil::{schedule_toward_target, Bcv, CompressionSchedule};
-use gomil_arith::{dadda_schedule, min_stages, wallace_schedule};
+use gomil_arith::{
+    dadda_schedule, min_stages, required_stages_modular, schedule_toward_target_modular,
+    wallace_schedule, Steerer,
+};
 use gomil_ilp::{Cmp, LinExpr, Model, Sense, SolveError};
 use gomil_netlist::Netlist;
 use gomil_prefix::{optimize_prefix_tree, rca_sum, PrefixTree, TwoRows};
@@ -145,6 +148,51 @@ proptest! {
             prop_assert!(vs.is_reduced());
             prop_assert!(vs.iter().all(|c| c >= 1));
             prop_assert_eq!(sched.num_stages(), s);
+        }
+    }
+
+    /// Two targets steer one matrix through the same stages but the last,
+    /// under both the strict and the modular rule: no stage before the
+    /// last depends on the target, which is what lets `Steerer::new` run
+    /// those stages once per search. The steerer's achieved profile, last
+    /// stage and CT cost agree with its full schedule replayed from `v0`.
+    #[test]
+    fn steered_schedules_share_all_but_the_last_stage(
+        v0 in bcv_strategy(),
+        seed1 in any::<u64>(),
+        seed2 in any::<u64>(),
+    ) {
+        let target = |seed: u64| -> Vec<u32> {
+            (0..v0.len() + 4).map(|j| 1 + ((seed >> (j % 60)) & 1) as u32).collect()
+        };
+        let (t1, t2) = (target(seed1), target(seed2));
+        let stages = [
+            (min_stages(v0.height()) as usize, false),
+            (required_stages_modular(&v0), true),
+        ];
+        for (s, modular) in stages {
+            let mut steerer = Steerer::new(&v0, s, modular);
+            let mut runs = Vec::new();
+            for t in [&t1, &t2] {
+                let Some(steered) = steerer.toward(t) else { continue };
+                let sched = steered.schedule();
+                prop_assert_eq!(sched.num_stages(), s);
+                prop_assert_eq!(steered.last_stage(), sched.stages.last());
+                let replay = sched.final_bcv(&v0).unwrap();
+                prop_assert_eq!(steered.achieved(), replay.counts());
+                prop_assert_eq!(steered.ct_cost(3.0, 2.0), sched.cost(3.0, 2.0));
+                let one_shot = if modular {
+                    schedule_toward_target_modular(&v0, s, t)
+                } else {
+                    schedule_toward_target(&v0, s, t)
+                };
+                prop_assert_eq!(one_shot, Some((sched.clone(), replay)));
+                runs.push(sched);
+            }
+            if let [a, b] = runs.as_slice() {
+                let head = s.saturating_sub(1);
+                prop_assert_eq!(&a.stages[..head], &b.stages[..head]);
+            }
         }
     }
 
